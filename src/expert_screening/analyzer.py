@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plausible import Ball, FiniteSet, chebyshev, contains, farthest_point
+from .plausible import FiniteSet, _ball_grid, chebyshev, farthest_point, members
 from .errors import ResolutionTooLarge
 from .simplex import (
     Forecast,
@@ -76,22 +76,16 @@ def uninformed_maxmin(theta, c, tol=1e-8, max_iter=20000):
 
 
 def _adversary_candidates(theta, grid):
-    """Truths available to the oracle adversary: theta's own exact points
-    (witnesses / extremes) plus grid points falling inside theta."""
+    """Truths available to the oracle adversary, one row each: theta's own
+    exact points (witnesses / extremes) plus grid points falling inside
+    theta, keeping the first occurrence of each (deterministic)."""
     if isinstance(theta, FiniteSet):
-        cand = list(theta.forecasts)
+        own = np.array([f.probs for f in theta.forecasts])
     else:
-        from .plausible import _ball_grid
-
-        cand = list(_ball_grid(theta))
-    cand.extend(g for g in grid if contains(theta, g))
-    # dedupe exact keys, keep first occurrence (deterministic)
-    seen, out = set(), []
-    for f in cand:
-        if f.key() not in seen:
-            seen.add(f.key())
-            out.append(f)
-    return out
+        own = _ball_grid(theta)
+    cand = np.vstack([own, grid[members(theta, grid)]])
+    _, first = np.unique(cand, axis=0, return_index=True)
+    return cand[np.sort(first)]
 
 
 def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
@@ -105,11 +99,8 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
     """
     n = theta.n
     space = StateSpace(tuple(str(i) for i in range(n)))
-    grid = grid_enumerate(space, grid_k, cap=cap)
-    cand = _adversary_candidates(theta, grid)
-
-    G = np.array([g.probs for g in grid])            # (num_grid, n)
-    A = np.array([f.probs for f in cand])            # (num_cand, n)
+    G = grid_enumerate(space, grid_k, cap=cap)       # (num_grid, n)
+    A = _adversary_candidates(theta, G)              # (num_cand, n)
     # squared distances cand x grid
     D = (
         np.sum(A**2, axis=1)[:, None]
@@ -122,19 +113,19 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
     pm_values = c.margin - worst_per_pm
     best_j = int(np.argmax(pm_values))               # first occurrence: deterministic
     best_value = float(pm_values[best_j])
-    best_strategy = MixedStrategy(((grid[best_j], 1.0),))
+    best_strategy = MixedStrategy(((Forecast.from_row(G[best_j]), 1.0),))
 
     details = {"grid_k": grid_k, "margin": c.margin, "best_point_mass_value": best_value}
 
     if mixture_pairs:
-        budget = 9 * len(grid) * len(grid) * len(cand)
+        budget = 9 * len(G) * len(G) * len(A)
         if budget > 5 * 10**7:
             raise ResolutionTooLarge(
                 f"two-point mixture scan needs {budget} evaluations; lower grid_k"
             )
         best_mix = -np.inf
         weights = [w / 10.0 for w in range(1, 10)]
-        for i in range(len(grid)):
+        for i in range(len(G)):
             col_i = D[:, i : i + 1]
             for w in weights:
                 mixed = w * col_i + (1.0 - w) * D   # (num_cand, num_grid)
@@ -148,8 +139,8 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
     # worst truth for the best point mass, lexicographically smallest tie
     col = D[:, best_j]
     worst_d = float(col.max())
-    ties = [cand[i] for i in range(len(cand)) if col[i] >= worst_d - 1e-12]
-    worst_truth = min(ties, key=lambda f: f.key())
+    ties = A[col >= worst_d - 1e-12]
+    worst_truth = Forecast.from_row(ties[np.lexsort(ties.T[::-1])[0]])
 
     # rival-deviation audit: the minimizing grid rival should coincide with
     # the worst truth (rival = truth is the adversary's best reply)
@@ -157,9 +148,8 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
     rival_d = np.sum(diffs**2, axis=1)
     r_idx = int(np.argmin(rival_d))
     details["reduction_min_rival_dist_sq"] = float(rival_d[r_idx])
-    details["reduction_rival_matches_truth_dist_sq"] = float(
-        l2_dist_sq(grid[r_idx], worst_truth)
-    )
+    d = G[r_idx] - worst_truth.probs
+    details["reduction_rival_matches_truth_dist_sq"] = float(np.dot(d, d))
 
     return MaxminReport(
         value=best_value,

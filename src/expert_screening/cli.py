@@ -9,8 +9,10 @@ Exit codes: 0 success; 1 invalid input; 2 numerical non-convergence;
 """
 
 import argparse
+import dataclasses
 import io
 import json
+import math
 import sys
 
 from .analyzer import (
@@ -20,14 +22,13 @@ from .analyzer import (
     uninformed_maxmin,
 )
 from .contracts import PAPER_EPSILON
-from .errors import InvalidScenario, ResolutionTooLarge, ScreeningError
+from .errors import ScreeningError
 from .plausible import Ball
 from .scenario import load_scenario
 from .simplex import Forecast
 from .simulation import (
     INFORMED,
     Prop1Config,
-    Prop2Config,
     build_contracts,
     run_tournament,
 )
@@ -130,46 +131,35 @@ def _emit(report, warnings):
         sys.stderr.write(f"warning: {w}\n")
 
 
-def cmd_analyze(args):
-    sc = load_scenario(args.scenario)
-    contracts = build_contracts(sc.contract_config)
-    experts, warnings, uncertified = _analyze_experts(sc, contracts, args.tol)
-    report = {
-        "scenario": _scenario_echo(sc),
-        "experts": experts,
-        "warnings": warnings,
+def _oracle_entry(entry, expert, contract, args):
+    report = oracle_maxmin(
+        expert.theta, contract, grid_k=args.grid_k, mixture_pairs=args.mixtures
+    )
+    block = {
+        "value": report.value,
+        "method": "oracle",
+        "decision": report.decision,
+        "grid_k": args.grid_k,
+        "difference_vs_exact": report.value - entry["value"]["value"],
+        "reduction_rival_matches_truth_dist_sq": report.details[
+            "reduction_rival_matches_truth_dist_sq"
+        ],
     }
-    _emit(report, warnings)
-    return 2 if uncertified else 0
+    if args.mixtures:
+        for key in ("best_mixture_value", "best_point_mass_value"):
+            block[key] = report.details[key]
+    return block
 
 
-def cmd_oracle(args):
+def cmd_report(args):
+    """`analyze`; `oracle` is the same report plus a per-expert oracle block."""
     sc = load_scenario(args.scenario)
     contracts = build_contracts(sc.contract_config)
     experts, warnings, uncertified = _analyze_experts(sc, contracts, args.tol)
-    for entry, expert, contract in zip(experts, sc.experts, contracts):
-        if expert.kind == INFORMED:
-            continue
-        report = oracle_maxmin(
-            expert.theta, contract, grid_k=args.grid_k, mixture_pairs=args.mixtures
-        )
-        entry["oracle"] = {
-            "value": report.value,
-            "method": "oracle",
-            "decision": report.decision,
-            "grid_k": args.grid_k,
-            "difference_vs_exact": report.value - entry["value"]["value"],
-            "reduction_rival_matches_truth_dist_sq": report.details[
-                "reduction_rival_matches_truth_dist_sq"
-            ],
-        }
-        if args.mixtures:
-            entry["oracle"]["best_mixture_value"] = report.details[
-                "best_mixture_value"
-            ]
-            entry["oracle"]["best_point_mass_value"] = report.details[
-                "best_point_mass_value"
-            ]
+    if args.command == "oracle":
+        for entry, expert, contract in zip(experts, sc.experts, contracts):
+            if expert.kind != INFORMED:
+                entry["oracle"] = _oracle_entry(entry, expert, contract, args)
     report = {
         "scenario": _scenario_echo(sc),
         "experts": experts,
@@ -182,23 +172,9 @@ def cmd_oracle(args):
 def cmd_simulate(args):
     sc = load_scenario(args.scenario)
     if args.trials is not None:
-        sc = type(sc)(
-            states=sc.states,
-            nature=sc.nature,
-            experts=sc.experts,
-            contract_config=sc.contract_config,
-            trials=args.trials,
-            seed=sc.seed,
-        )
+        sc = dataclasses.replace(sc, trials=args.trials)
     if args.seed is not None:
-        sc = type(sc)(
-            states=sc.states,
-            nature=sc.nature,
-            experts=sc.experts,
-            contract_config=sc.contract_config,
-            trials=sc.trials,
-            seed=args.seed,
-        )
+        sc = dataclasses.replace(sc, seed=args.seed)
     result = run_tournament(sc)
     if args.format == "csv":
         buf = io.StringIO()
@@ -210,8 +186,7 @@ def cmd_simulate(args):
             )
         sys.stdout.write(buf.getvalue())
     else:
-        report = {"scenario": _scenario_echo(sc), **result.to_dict()}
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _emit({"scenario": _scenario_echo(sc), **result.to_dict()}, warnings=())
     return 0
 
 
@@ -231,8 +206,32 @@ def cmd_verify(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit through main's one error path (exit 1)."""
+
+    def error(self, message):
+        raise ScreeningError(message)
+
+
+def _positive(kind):
+    """argparse type: a finite number of `kind` above zero."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {kind.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expert-screen",
         description="Screening contracts for probabilistic forecasters",
     )
@@ -240,15 +239,15 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="margins, maxmin values, accept/reject")
     p.add_argument("scenario", help="path to a scenario JSON file")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(fn=cmd_analyze)
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
+    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("oracle", help="brute-force audit of the exact analyzer")
     p.add_argument("scenario", help="path to a scenario JSON file")
-    p.add_argument("--grid-k", type=int, default=50, dest="grid_k")
+    p.add_argument("--grid-k", type=_positive(int), default=50, dest="grid_k")
     p.add_argument("--mixtures", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(fn=cmd_oracle)
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
+    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo tournament")
     p.add_argument("scenario", help="path to a scenario JSON file")
@@ -265,13 +264,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (InvalidScenario, ResolutionTooLarge) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except ScreeningError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

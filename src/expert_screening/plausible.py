@@ -16,6 +16,7 @@ from .errors import EmptySet, LengthMismatch
 from .simplex import (
     Forecast,
     StateSpace,
+    dist_sq_rows,
     grid_enumerate,
     l2_dist_sq,
     project_to_simplex,
@@ -100,14 +101,26 @@ def _grid_resolution_for_budget(n, budget):
     return k
 
 
+def members(theta, points):
+    """Membership mask of the rows of `points`: `contains` on each row."""
+    tol = MEMBERSHIP_TOL
+    if isinstance(theta, FiniteSet):
+        mask = np.zeros(len(points), dtype=bool)
+        for g in theta.forecasts:
+            mask |= dist_sq_rows(points, g.probs) <= tol**2
+        return mask
+    return np.sqrt(dist_sq_rows(points, theta.center.probs)) <= theta.radius + tol
+
+
 @lru_cache(maxsize=64)
 def _ball_grid(ball, budget=1500):
-    """Grid points of the simplex lying in the ball (used for cut balls)."""
+    """Points of a (cut) ball, one read-only row each: the simplex grid
+    points inside it, surface points along coordinate-pair directions
+    that stay on the simplex, and the center."""
     n = ball.n
     k = _grid_resolution_for_budget(n, budget)
-    space = StateSpace(tuple(str(i) for i in range(n)))
-    pts = [g for g in grid_enumerate(space, k) if contains(ball, g)]
-    # surface points along coordinate-pair directions, clipped to simplex
+    grid = grid_enumerate(StateSpace(tuple(str(i) for i in range(n))), k)
+    pts = [grid[members(ball, grid)]]
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -116,9 +129,11 @@ def _ball_grid(ball, budget=1500):
             d[i], d[j] = 1.0, -1.0
             p = ball.center.probs + ball.radius * d / math.sqrt(2.0)
             if p.min() >= -1e-12:
-                pts.append(Forecast(np.clip(p, 0.0, None)))
-    pts.append(ball.center)
-    return tuple(pts)
+                pts.append(Forecast(np.clip(p, 0.0, None)).probs[None])
+    pts.append(ball.center.probs[None])
+    out = np.vstack(pts)
+    out.flags.writeable = False
+    return out
 
 
 def farthest_point(theta, point):
@@ -149,12 +164,10 @@ def farthest_point(theta, point):
         far = Forecast(np.clip(p, 0.0, None))
         return far, (norm + theta.radius) ** 2
     # clipped ball: fall back to the densest feasible grid of the intersection
-    best, best_d = None, -1.0
-    for g in _ball_grid(theta):
-        d = l2_dist_sq(g, point)
-        if d > best_d:
-            best, best_d = g, d
-    return best, best_d
+    pts = _ball_grid(theta)
+    d = dist_sq_rows(pts, x)
+    i = int(np.argmax(d))
+    return Forecast.from_row(pts[i]), float(d[i])
 
 
 def diameter_sq(theta, grid_budget=1500):
@@ -167,8 +180,7 @@ def diameter_sq(theta, grid_budget=1500):
         )
     if theta.is_uncut():
         return (2.0 * theta.radius) ** 2
-    pts = _ball_grid(theta, grid_budget)
-    arr = np.array([p.probs for p in pts])
+    arr = _ball_grid(theta, grid_budget)
     sq = np.sum(arr**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T)
     return float(d2.max())

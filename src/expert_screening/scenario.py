@@ -108,12 +108,7 @@ def _parse_expert(obj, space, idx):
     announce = _parse_announce(obj.get("announce"), space, f"{where}.announce")
     if announce is None:
         announce = ANNOUNCE_TRUTH if kind == "informed" else ANNOUNCE_CHEBYSHEV
-    try:
-        return ExpertSpec(id=eid, kind=kind, theta=theta, announce=announce)
-    except InvalidScenario:
-        raise
-    except Exception as exc:
-        raise InvalidScenario(f"{where}: {exc}") from exc
+    return ExpertSpec(id=eid, kind=kind, theta=theta, announce=announce)
 
 
 def _parse_contract(obj, space):
@@ -195,20 +190,13 @@ def parse_scenario(obj):
 
     contract = _parse_contract(obj["contract"], space)
 
-    trials = obj["trials"]
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise InvalidScenario("trials: must be a positive integer")
-    seed = obj["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InvalidScenario("seed: must be a non-negative integer")
-
     return Scenario(
         states=space,
         nature=nature,
         experts=experts,
         contract_config=contract,
-        trials=trials,
-        seed=seed,
+        trials=obj["trials"],
+        seed=obj["seed"],
     )
 
 

@@ -6,6 +6,7 @@ functions are pure; randomness enters only through explicitly passed
 numpy Generators.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,18 @@ class Forecast:
         p = p / p.sum()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
+
+    @classmethod
+    def from_row(cls, row):
+        """A Forecast carrying the bits of `row`, a vector that is already a
+        normalized forecast (a grid_enumerate row, or another Forecast's
+        probs). The constructor would normalize it again, which can move
+        its last bit."""
+        f = object.__new__(cls)
+        p = np.array(row, dtype=float)
+        p.flags.writeable = False
+        object.__setattr__(f, "probs", p)
+        return f
 
     @property
     def n(self):
@@ -135,6 +148,16 @@ def l2_dist_sq(f, g):
     return float(np.dot(d, d))
 
 
+def dist_sq_rows(points, x):
+    """Squared L2 distance from each row of `points` to the vector `x`.
+
+    A batched dot product, so each entry has the bits of l2_dist_sq on
+    that row; a sum of squares rounds differently.
+    """
+    d = points - x
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+
+
 def mixed_mean(xi):
     """Barycenter of a mixed strategy; lies on the simplex by convexity."""
     acc = np.zeros(xi.n)
@@ -152,7 +175,11 @@ def sample_simplex_uniform(space, rng):
 def grid_enumerate(space, resolution, cap=GRID_CAP):
     """All forecasts with entries in {0, 1/k, ..., 1}, lexicographic order.
 
-    Count equals C(k + n - 1, n - 1); raises ResolutionTooLarge past `cap`.
+    Returns a (C(k + n - 1, n - 1), n) float array, one forecast per row,
+    normalized once the way Forecast normalizes; raises ResolutionTooLarge
+    past `cap` before allocating anything. Rows are built by stars and
+    bars: each choice of n - 1 bar positions among k + n - 1 slots gives
+    the counts between consecutive bars.
     """
     k = int(resolution)
     if k < 1:
@@ -163,18 +190,14 @@ def grid_enumerate(space, resolution, cap=GRID_CAP):
         raise ResolutionTooLarge(
             f"grid would have {count} points, exceeding cap {cap}"
         )
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], k, n)
-    assert len(out) == count
-    return [Forecast(np.asarray(c, dtype=float) / k) for c in out]
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(k + n - 1), n - 1)),
+        dtype=np.intp,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), k + n - 1)])
+    p = (np.diff(edges, axis=1) - 1) / k
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def project_to_simplex(v):

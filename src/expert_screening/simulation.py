@@ -84,9 +84,10 @@ class Scenario:
     def __post_init__(self):
         if len(self.experts) != 2:
             raise InvalidScenario("experts: exactly 2 experts required")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        # exact type checks, because bool is an int subclass
+        if type(self.trials) is not int or self.trials < 1:
             raise InvalidScenario("trials: must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise InvalidScenario("seed: must be a non-negative integer")
         if self.nature != "uniform" and not isinstance(self.nature, Forecast):
             raise InvalidScenario("nature: must be 'uniform' or a fixed forecast")

@@ -1,298 +1,16 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: every property check of `verify.CHECKS`, in full mode.
 
-Everything runs at desk scale (n in {2,3,4}, grid k <= 60, <= 1e5 Monte
-Carlo trials). Expected values are either closed forms checked against
-independent brute-force oracles, or frozen hand computations.
+`pytest tests/test_acceptance.py -s` prints one line per check with its
+detail; `expert-screen verify` runs the same checks from the CLI.
 """
 
-import json
-
-import numpy as np
 import pytest
 
-from expert_screening import (
-    ACCEPT,
-    Ball,
-    Contract,
-    ExpertSpec,
-    FIXED_MARGIN,
-    FiniteSet,
-    Forecast,
-    PAPER_EPSILON,
-    Prop1Config,
-    REJECT,
-    SAFE_EPSILON,
-    Scenario,
-    StateSpace,
-    diameter_sq,
-    expected_payoff,
-    expected_score_closed_form,
-    expected_score_direct,
-    grid_enumerate,
-    informed_guarantee,
-    l2_dist_sq,
-    make_prop1_contract,
-    make_prop2_contracts,
-    oracle_maxmin,
-    run_tournament,
-    sample_simplex_uniform,
-    truth_telling_gap,
-    uninformed_maxmin,
-)
+from expert_screening.verify import CHECKS
 
 
-def _space(n):
-    return StateSpace(tuple(f"s{i}" for i in range(n)))
-
-
-def _random_finite_set(rng, n, min_points=2, max_points=5):
-    m = int(rng.integers(min_points, max_points + 1))
-    space = _space(n)
-    pts = []
-    while len(pts) < m:
-        f = sample_simplex_uniform(space, rng)
-        if all(l2_dist_sq(f, g) > 1e-4 for g in pts):
-            pts.append(f)
-    return FiniteSet(tuple(pts))
-
-
-def _random_uncut_ball(rng, n):
-    space = _space(n)
-    while True:
-        center = sample_simplex_uniform(space, rng)
-        limit = float(center.probs.min()) / np.sqrt((n - 1) / n)
-        if limit > 0.06:
-            ball = Ball(center, float(rng.uniform(0.05, min(0.95 * limit, 0.4))))
-            if ball.is_uncut():
-                return ball
-
-
-def _report(num, name):
-    print(f"ACCEPTANCE {num} ({name}): PASS")
-
-
-def test_criterion_1_lemma1_identity():
-    rng = np.random.default_rng(1001)
-    for _ in range(10**4):
-        n = int(rng.integers(2, 5))
-        space = _space(n)
-        truth = sample_simplex_uniform(space, rng)
-        report = sample_simplex_uniform(space, rng)
-        assert abs(
-            expected_score_direct(truth, report)
-            - expected_score_closed_form(truth, report)
-        ) <= 1e-12
-    _report(1, "expected-score identity, 1e4 random pairs at 1e-12")
-
-
-def test_criterion_2_truth_telling_gap():
-    rng = np.random.default_rng(1002)
-    c = Contract(0.37, FIXED_MARGIN)
-    for _ in range(10**3):
-        n = int(rng.integers(2, 5))
-        space = _space(n)
-        truth = sample_simplex_uniform(space, rng)
-        report = sample_simplex_uniform(space, rng)
-        rival_a = sample_simplex_uniform(space, rng)
-        rival_b = sample_simplex_uniform(space, rng)
-        gap = truth_telling_gap(truth, report)
-        assert abs(gap - l2_dist_sq(truth, report)) <= 1e-12
-        gap_a = expected_payoff(c, truth, truth, rival_a) - expected_payoff(
-            c, truth, report, rival_a
-        )
-        gap_b = expected_payoff(c, truth, truth, rival_b) - expected_payoff(
-            c, truth, report, rival_b
-        )
-        assert abs(gap_a - gap) <= 1e-12
-        assert abs(gap_b - gap) <= 1e-12
-    _report(2, "truth-telling gap = squared distance, rival-independent")
-
-
-def test_criterion_3_informed_acceptance():
-    rng = np.random.default_rng(1003)
-    k = 60
-    grids = {
-        n: np.array([g.probs for g in grid_enumerate(_space(n), k)]) for n in (2, 3)
-    }
-    for _ in range(10**3):
-        n = int(rng.integers(2, 4))
-        truth = sample_simplex_uniform(_space(n), rng)
-        margin = float(rng.uniform(1e-6, 1.0))
-        c = Contract(margin, FIXED_MARGIN)
-        assert informed_guarantee(c, truth) == margin
-        rival_d = np.sum((grids[n] - truth.probs) ** 2, axis=1)
-        assert float((rival_d + margin).min()) >= margin - 1e-9
-    _report(3, "informed guarantee = margin; no rival beats it on grid k=60")
-
-
-def test_criterion_4_exact_vs_oracle():
-    rng = np.random.default_rng(1004)
-    k = 50
-    c = Contract(0.1, FIXED_MARGIN)
-    for _ in range(50):
-        n = int(rng.integers(2, 4))
-        theta = _random_finite_set(rng, n)
-        exact = uninformed_maxmin(theta, c)
-        oracle = oracle_maxmin(theta, c, grid_k=k)
-        assert abs(exact.value - oracle.value) <= 3.0 / k
-    for _ in range(20):
-        n = int(rng.integers(2, 4))
-        theta = _random_uncut_ball(rng, n)
-        exact = uninformed_maxmin(theta, c)
-        oracle = oracle_maxmin(theta, c, grid_k=k)
-        assert abs(exact.value - oracle.value) <= 3.0 / k
-    _report(4, "50 finite sets + 20 uncut balls, |exact - oracle| <= 0.06")
-
-
-def test_criterion_5_corrected_screening():
-    rng = np.random.default_rng(1005)
-    for _ in range(40):
-        n = int(rng.integers(2, 4))
-        theta = _random_finite_set(rng, n)
-        margin = diameter_sq(theta) / 8.0
-        report = uninformed_maxmin(theta, Contract(margin, FIXED_MARGIN))
-        assert report.decision == REJECT
-        assert report.value < 0
-    _report(5, "margin = diameter^2/8 rejects every uninformed set")
-
-
-def test_criterion_6_paper_epsilon_counterexample(tmp_path, capsys):
-    rng = np.random.default_rng(1006)
-    checked = 0
-    while checked < 15:
-        n = int(rng.integers(2, 4))
-        space = _space(n)
-        fx = sample_simplex_uniform(space, rng)
-        fy = sample_simplex_uniform(space, rng)
-        d2 = l2_dist_sq(fx, fy)
-        if d2 < 1e-2:
-            continue
-        theta = FiniteSet((fx, fy))
-        c = make_prop1_contract(fx, fy, PAPER_EPSILON)
-        assert c.margin == pytest.approx(d2 / 2.0, abs=1e-15)
-        exact = uninformed_maxmin(theta, c)
-        oracle = oracle_maxmin(theta, c, grid_k=50)
-        assert exact.decision == ACCEPT
-        assert exact.value == pytest.approx(d2 / 4.0, abs=1e-6)
-        assert oracle.decision == ACCEPT
-        assert oracle.value == pytest.approx(d2 / 4.0, abs=0.06)
-        checked += 1
-    # the anomaly is surfaced as a CLI warning, not silently fixed
-    from expert_screening.cli import main
-
-    scenario = {
-        "states": ["up", "down"],
-        "nature": {"kind": "fixed", "forecast": [0.7, 0.3]},
-        "experts": [
-            {"id": "alice", "kind": "informed"},
-            {
-                "id": "bob",
-                "kind": "uninformed",
-                "theta": {"kind": "finite", "forecasts": [[1, 0], [0, 1]]},
-                "announce": "chebyshev",
-            },
-        ],
-        "contract": {
-            "kind": "prop1",
-            "policy": "paper",
-            "witnesses": [[1, 0], [0, 1]],
-        },
-        "trials": 10,
-        "seed": 1,
-    }
-    path = tmp_path / "paper_eps.json"
-    path.write_text(json.dumps(scenario))
-    code = main(["analyze", str(path)])
-    captured = capsys.readouterr()
-    assert code == 0
-    report = json.loads(captured.out)
-    assert len(report["warnings"]) == 1 and "ACCEPTS" in report["warnings"][0]
-    _report(6, "half-distance margin accepted by analyzer AND oracle, warned")
-
-
-def test_criterion_7_prop2_screening():
-    rng = np.random.default_rng(1007)
-    k = 50
-    done = 0
-    while done < 20:
-        n = int(rng.integers(2, 4))
-        ball1 = _random_uncut_ball(rng, n)
-        eps1 = ball1.radius
-        ball2 = None
-        for _ in range(500):
-            cand = _random_uncut_ball(rng, n)
-            if cand.radius > eps1 * 1.05:
-                ball2 = cand
-                break
-        if ball2 is None:
-            continue
-        eps2 = ball2.radius
-        gamma = float(rng.uniform(eps1**2 * 1.01, eps2**2 * 0.99))
-        c1, c2 = make_prop2_contracts(eps1, eps2, gamma)
-        r1 = uninformed_maxmin(ball1, c1)
-        r2 = uninformed_maxmin(ball2, c2)
-        assert r1.decision == ACCEPT
-        assert r1.value == pytest.approx(gamma - eps1**2, abs=1e-6)
-        assert r2.decision == REJECT
-        assert r2.value == pytest.approx(gamma - eps2**2, abs=1e-6)
-        o1 = oracle_maxmin(ball1, c1, grid_k=k)
-        o2 = oracle_maxmin(ball2, c2, grid_k=k)
-        assert abs(o1.value - r1.value) <= 3.0 / k
-        assert abs(o2.value - r2.value) <= 3.0 / k
-        done += 1
-    _report(7, "20 (eps1, eps2, gamma) triples screen correctly vs oracle")
-
-
-def test_criterion_8_monte_carlo_consistency():
-    space = StateSpace(("up", "down"))
-    fx, fy = Forecast([1, 0]), Forecast([0, 1])
-    truth = Forecast([0.7, 0.3])
-    sc = Scenario(
-        states=space,
-        nature=truth,
-        experts=(
-            ExpertSpec(id="alice", kind="informed"),
-            ExpertSpec(
-                id="bob",
-                kind="uninformed",
-                theta=FiniteSet((fx, fy)),
-                announce="chebyshev",
-            ),
-        ),
-        contract_config=Prop1Config(policy=SAFE_EPSILON, witnesses=(fx, fy)),
-        trials=10**5,
-        seed=7,
-    )
-    first = run_tournament(sc)
-    alice, bob = first.experts
-    assert alice.decision == ACCEPT
-    assert bob.decision == REJECT
-    assert bob.mean_payoff == 0.0 and bob.payoff_stderr == 0.0
-    c = make_prop1_contract(fx, fy, SAFE_EPSILON)
-    rival = Forecast([0.5, 0.5])  # chebyshev center announced by bob
-    analytic = expected_payoff(c, truth, truth, rival)
-    assert abs(alice.mean_payoff - analytic) <= 4 * alice.payoff_stderr
-    second = run_tournament(sc)
-    assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
-        second.to_dict(), sort_keys=True
-    )
-    _report(8, "1e5 trials within 4 stderr; rejecters at 0; reruns identical")
-
-
-def test_criterion_9_eq1_reduction_audit():
-    rng = np.random.default_rng(1009)
-    k = 50
-    c = Contract(0.15, FIXED_MARGIN)
-    for _ in range(15):
-        n = int(rng.integers(2, 4))
-        theta = (
-            _random_finite_set(rng, n)
-            if rng.random() < 0.7
-            else _random_uncut_ball(rng, n)
-        )
-        report = oracle_maxmin(theta, c, grid_k=k)
-        # the minimizing rival coincides with the minimizing truth up to
-        # the grid's covering radius
-        grid_tol = 2.0 * (n / k) ** 2 + 1e-9
-        assert report.details["reduction_rival_matches_truth_dist_sq"] <= grid_tol
-    _report(9, "adversary's best rival equals the worst-case truth on the grid")
+@pytest.mark.parametrize("name,check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_check(name, check):
+    ok, detail = check(quick=False)
+    print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}  {detail}")
+    assert ok, detail

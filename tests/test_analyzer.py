@@ -11,7 +11,6 @@ from expert_screening import (
     PAPER_EPSILON,
     REJECT,
     SAFE_EPSILON,
-    StateSpace,
     grid_enumerate,
     informed_guarantee,
     l2_dist_sq,
@@ -23,25 +22,11 @@ from expert_screening import (
     uninformed_maxmin,
 )
 from expert_screening.errors import ResolutionTooLarge
+from expert_screening.verify import _random_finite_set, _space
 
 FX = Forecast([1, 0])
 FY = Forecast([0, 1])
 VERTICES = FiniteSet((FX, FY))
-
-
-def _space(n):
-    return StateSpace(tuple(str(i) for i in range(n)))
-
-
-def _random_finite_set(rng, n, max_points=5):
-    m = int(rng.integers(2, max_points + 1))
-    space = _space(n)
-    pts = []
-    while len(pts) < m:
-        f = sample_simplex_uniform(space, rng)
-        if all(l2_dist_sq(f, g) > 1e-6 for g in pts):
-            pts.append(f)
-    return FiniteSet(tuple(pts))
 
 
 class TestInformedGuarantee:
@@ -57,7 +42,7 @@ class TestInformedGuarantee:
         space = _space(2)
         grid = grid_enumerate(space, 100)
         truth = Forecast([0.7, 0.3])
-        values = [expected_payoff(c, truth, truth, rival) for rival in grid]
+        values = [expected_payoff(c, truth, truth, Forecast(r)) for r in grid]
         assert min(values) >= c.margin - 1e-12
 
 
@@ -168,64 +153,7 @@ class TestOracleMaxmin:
             oracle_maxmin(theta, c, grid_k=10**4)
 
 
-class TestExactOracleAgreement:
-    def test_random_finite_sets(self):
-        rng = np.random.default_rng(44)
-        c = Contract(0.1, FIXED_MARGIN)
-        k = 50
-        for _ in range(10):
-            n = int(rng.integers(2, 4))
-            theta = _random_finite_set(rng, n)
-            exact = uninformed_maxmin(theta, c)
-            oracle = oracle_maxmin(theta, c, grid_k=k)
-            assert abs(exact.value - oracle.value) <= 3.0 / k
-
-    def test_uncut_balls(self):
-        rng = np.random.default_rng(45)
-        c = Contract(0.1, FIXED_MARGIN)
-        k = 50
-        for _ in range(5):
-            n = int(rng.integers(2, 4))
-            space = _space(n)
-            while True:
-                center = sample_simplex_uniform(space, rng)
-                limit = float(center.probs.min()) / np.sqrt((n - 1) / n)
-                if limit > 0.06:
-                    break
-            theta = Ball(center, float(rng.uniform(0.05, min(0.95 * limit, 0.4))))
-            exact = uninformed_maxmin(theta, c)
-            oracle = oracle_maxmin(theta, c, grid_k=k)
-            assert abs(exact.value - oracle.value) <= 3.0 / k
-
-
 class TestScreeningTheorems:
-    def test_corrected_screening_below_quarter_diameter(self):
-        from expert_screening import diameter_sq
-
-        rng = np.random.default_rng(46)
-        for _ in range(15):
-            n = int(rng.integers(2, 4))
-            theta = _random_finite_set(rng, n)
-            margin = diameter_sq(theta) / 8.0
-            report = uninformed_maxmin(theta, Contract(margin, FIXED_MARGIN))
-            assert report.decision == REJECT
-
-    def test_paper_epsilon_counterexample_random_witnesses(self):
-        rng = np.random.default_rng(47)
-        for _ in range(10):
-            n = int(rng.integers(2, 4))
-            space = _space(n)
-            fx = sample_simplex_uniform(space, rng)
-            fy = sample_simplex_uniform(space, rng)
-            d2 = l2_dist_sq(fx, fy)
-            if d2 < 1e-2:
-                continue
-            theta = FiniteSet((fx, fy))
-            c = make_prop1_contract(fx, fy, PAPER_EPSILON)
-            report = uninformed_maxmin(theta, c)
-            assert report.decision == ACCEPT
-            assert report.value == pytest.approx(d2 / 4.0, abs=1e-7)
-
     def test_prop2_screening(self):
         eps1, eps2, gamma = 0.1, 0.5, 0.1
         c1, c2 = make_prop2_contracts(eps1, eps2, gamma)
@@ -234,17 +162,3 @@ class TestScreeningTheorems:
         r1 = uninformed_maxmin(ball1, c1)
         assert r1.decision == ACCEPT
         assert r1.value == pytest.approx(gamma - eps1**2, abs=1e-9)
-
-
-class TestEq1Reduction:
-    def test_rival_minimum_at_truth(self):
-        rng = np.random.default_rng(48)
-        c = Contract(0.1, FIXED_MARGIN)
-        k = 50
-        for _ in range(5):
-            n = int(rng.integers(2, 4))
-            theta = _random_finite_set(rng, n)
-            report = oracle_maxmin(theta, c, grid_k=k)
-            assert report.details[
-                "reduction_rival_matches_truth_dist_sq"
-            ] <= 2.0 * (n / k) ** 2 + 1e-9

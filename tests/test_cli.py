@@ -1,49 +1,26 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from expert_screening import cli, plausible
 from expert_screening.cli import main
 from expert_screening.errors import InvalidScenario
 from expert_screening.scenario import parse_scenario
 
-TWO_POINT_SAFE = {
-    "states": ["up", "down"],
-    "nature": {"kind": "fixed", "forecast": [0.7, 0.3]},
-    "experts": [
-        {"id": "alice", "kind": "informed", "announce": "truth"},
-        {
-            "id": "bob",
-            "kind": "uninformed",
-            "theta": {"kind": "finite", "forecasts": [[1, 0], [0, 1]]},
-            "announce": "chebyshev",
-        },
-    ],
-    "contract": {"kind": "prop1", "policy": "safe", "witnesses": [[1, 0], [0, 1]]},
-    "trials": 500,
-    "seed": 7,
-}
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos" / "scenarios"
+DEMO = str(DEMOS / "prop1_safe.json")
 
-PROP2 = {
-    "states": ["a", "b", "c"],
-    "nature": {"kind": "fixed", "forecast": [0.5, 0.3, 0.2]},
-    "experts": [
-        {
-            "id": "sharp",
-            "kind": "partial",
-            "theta": {"kind": "ball", "center": [0.5, 0.3, 0.2], "radius": 0.1},
-            "announce": "chebyshev",
-        },
-        {
-            "id": "blurry",
-            "kind": "partial",
-            "theta": {"kind": "ball", "center": [0.4, 0.35, 0.25], "radius": 0.22},
-            "announce": "chebyshev",
-        },
-    ],
-    "contract": {"kind": "prop2", "eps1": 0.1, "eps2": 0.22, "gamma": 0.02},
-    "trials": 2000,
-    "seed": 11,
-}
+
+def _demo(name, trials):
+    with open(DEMOS / f"{name}.json", encoding="utf-8") as fh:
+        return dict(json.load(fh), trials=trials)
+
+
+TWO_POINT_SAFE = _demo("prop1_safe", 500)
+PROP2 = _demo("prop2_balls", 2000)
 
 
 def _write(tmp_path, obj, name="scenario.json"):
@@ -208,3 +185,40 @@ class TestVerify:
         assert code == 0
         assert "paper-epsilon-counterexample" in out
         assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["oracle", DEMO, "--grid-k", "0"], 1),
+        (["oracle", DEMO, "--grid-k", "-3"], 1),
+        (["oracle", DEMO, "--grid-k", "abc"], 1),
+        (["analyze", DEMO, "--tol", "-1"], 1),
+        (["analyze", DEMO, "--tol", "nan"], 1),
+        (["analyze", DEMO, "--unknown-option"], 1),
+        (["analyze", "--help"], 0),
+    ],
+)
+def test_bad_arguments_exit_1(argv, code, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help exits from argparse
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bench_tracing_instruments_and_restores(tmp_path):
+    """The benchmark's traced run rebinds package attributes by name."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = (cli.main, cli.oracle_maxmin, plausible.grid_enumerate)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        assert cli.main(["oracle", _write(tmp_path, PROP2), "--grid-k", "10"]) == 0
+    assert (cli.main, cli.oracle_maxmin, plausible.grid_enumerate) == before
+    assert tracer.stats["analyzer.oracle_maxmin"][0] == 2

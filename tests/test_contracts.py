@@ -7,7 +7,6 @@ from expert_screening import (
     Forecast,
     PAPER_EPSILON,
     SAFE_EPSILON,
-    StateSpace,
     expected_payoff,
     l2_dist_sq,
     make_prop1_contract,
@@ -16,13 +15,10 @@ from expert_screening import (
     sample_simplex_uniform,
 )
 from expert_screening.errors import DegenerateWitnesses, InvalidGamma, InvalidRadii
+from expert_screening.verify import _space
 
 FX = Forecast([1, 0])
 FY = Forecast([0, 1])
-
-
-def _space(n):
-    return StateSpace(tuple(str(i) for i in range(n)))
 
 
 class TestMakeProp1Contract:

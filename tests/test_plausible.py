@@ -11,36 +11,13 @@ from expert_screening import (
     chebyshev,
     contains,
     diameter_sq,
-    grid_enumerate,
-    l2_dist_sq,
     sample_from,
-    sample_simplex_uniform,
     validate_forecast,
 )
+from expert_screening.verify import _random_finite_set, _space
 
 SPACE2 = StateSpace(("a", "b"))
 VERTICES = FiniteSet((Forecast([1, 0]), Forecast([0, 1])))
-
-
-def _space(n):
-    return StateSpace(tuple(str(i) for i in range(n)))
-
-
-def _random_finite_set(rng, n, max_points=6):
-    m = int(rng.integers(2, max_points + 1))
-    space = _space(n)
-    pts = []
-    while len(pts) < m:
-        f = sample_simplex_uniform(space, rng)
-        if all(l2_dist_sq(f, g) > 1e-6 for g in pts):
-            pts.append(f)
-    return FiniteSet(tuple(pts))
-
-
-def _grid_min_max_radius_sq(theta, k):
-    """Brute-force Chebyshev radius: scan all grid centers."""
-    grid = grid_enumerate(_space(theta.n), k)
-    return min(max(l2_dist_sq(f, c) for f in theta.forecasts) for c in grid)
 
 
 class TestConstruction:
@@ -119,47 +96,23 @@ class TestChebyshev:
     def test_center_on_simplex(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            theta = _random_finite_set(rng, 3)
+            theta = _random_finite_set(rng, 3, max_points=6)
             res = chebyshev(theta)
             validate_forecast(res.center.probs, _space(3))
-
-    def test_two_point_midpoint(self):
-        rng = np.random.default_rng(22)
-        for _ in range(30):
-            n = int(rng.integers(2, 4))
-            space = _space(n)
-            a, b = sample_simplex_uniform(space, rng), sample_simplex_uniform(space, rng)
-            if l2_dist_sq(a, b) < 1e-4:
-                continue
-            theta = FiniteSet((a, b))
-            res = chebyshev(theta, tol=1e-10)
-            mid = Forecast((a.probs + b.probs) / 2)
-            assert l2_dist_sq(res.center, mid) < 1e-8
-            assert abs(res.radius_sq - diameter_sq(theta) / 4) < 1e-8
 
     def test_radius_bounds(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             n = int(rng.integers(2, 4))
-            theta = _random_finite_set(rng, n)
+            theta = _random_finite_set(rng, n, max_points=6)
             res = chebyshev(theta, tol=1e-9)
             d2 = diameter_sq(theta)
             assert res.radius_sq >= d2 / 4 - 1e-6
             assert res.radius_sq <= d2 + 1e-9
 
-    def test_against_grid_oracle(self):
-        rng = np.random.default_rng(24)
-        k = 60
-        for _ in range(15):
-            n = int(rng.integers(2, 4))
-            theta = _random_finite_set(rng, n)
-            res = chebyshev(theta, tol=1e-9)
-            oracle = _grid_min_max_radius_sq(theta, k)
-            assert abs(res.radius_sq - oracle) <= 3.0 / k
-
     def test_uncertified_when_starved(self):
         rng = np.random.default_rng(25)
-        theta = _random_finite_set(rng, 3)
+        theta = _random_finite_set(rng, 3, max_points=6)
         res = chebyshev(theta, tol=1e-15, max_iter=20)
         assert not res.certified
 

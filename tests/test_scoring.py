@@ -3,7 +3,6 @@ import pytest
 
 from expert_screening import (
     Forecast,
-    StateSpace,
     brier,
     expected_score_closed_form,
     expected_score_direct,
@@ -13,10 +12,7 @@ from expert_screening import (
     sample_simplex_uniform,
 )
 from expert_screening.errors import IndexOutOfRange
-
-
-def _space(n):
-    return StateSpace(tuple(str(i) for i in range(n)))
+from expert_screening.verify import _space
 
 
 class TestBrier:
@@ -37,7 +33,7 @@ class TestBrier:
 
     def test_range_on_grid_and_random(self):
         rng = np.random.default_rng(11)
-        forecasts = list(grid_enumerate(_space(3), 6))
+        forecasts = [Forecast(p) for p in grid_enumerate(_space(3), 6)]
         forecasts += [sample_simplex_uniform(_space(3), rng) for _ in range(200)]
         for f in forecasts:
             for s in range(3):

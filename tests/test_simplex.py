@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from expert_screening.errors import (
     NotNormalized,
     ResolutionTooLarge,
 )
+from expert_screening.verify import _space
 
 SPACE2 = StateSpace(("a", "b"))
 SPACE3 = StateSpace(("a", "b", "c"))
@@ -160,31 +164,49 @@ class TestSampleSimplexUniform:
         assert np.all(np.abs(acc / n_samples - 1 / 3) < 0.01)
 
 
+def _reference_grid(n, k):
+    """Grid by brute force: count vectors of `itertools.product` summing
+    to k, in lexicographic order, each normalized as Forecast does."""
+    rows = []
+    for c in itertools.product(range(k + 1), repeat=n):
+        if sum(c) == k:
+            p = np.asarray(c, dtype=float) / k
+            rows.append(p / p.sum())
+    return np.array(rows)
+
+
 class TestGridEnumerate:
     def test_n2_k2(self):
-        pts = [f.probs.tolist() for f in grid_enumerate(SPACE2, 2)]
-        assert pts == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+        assert grid_enumerate(SPACE2, 2).tolist() == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
 
     def test_n2_k1(self):
-        pts = [f.probs.tolist() for f in grid_enumerate(SPACE2, 1)]
-        assert pts == [[0.0, 1.0], [1.0, 0.0]]
+        assert grid_enumerate(SPACE2, 1).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_n3_k2_count(self):
-        assert len(grid_enumerate(SPACE3, 2)) == 6
+        assert grid_enumerate(SPACE3, 2).shape == (6, 3)
 
     def test_counts_match_binomial(self):
-        import math
-
         for n, k in [(2, 7), (3, 5), (4, 4)]:
-            space = StateSpace(tuple(str(i) for i in range(n)))
+            space = _space(n)
             assert len(grid_enumerate(space, k)) == math.comb(k + n - 1, n - 1)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 9), (3, 7), (4, 6), (5, 4), (8, 3)])
+    def test_matches_reference(self, n, k):
+        space = _space(n)
+        ref = _reference_grid(n, k)
+        grid = grid_enumerate(space, k)
+        assert grid.shape == ref.shape == (math.comb(k + n - 1, n - 1), n)
+        # same order and the same bits
+        assert np.array_equal(grid.view(np.uint64), ref.view(np.uint64))
+        with pytest.raises(ResolutionTooLarge):
+            grid_enumerate(space, k, cap=len(ref) - 1)
+        assert len(grid_enumerate(space, k, cap=len(ref))) == len(ref)
 
     def test_points_distinct_and_valid(self):
         pts = grid_enumerate(SPACE3, 4)
-        keys = {f.key() for f in pts}
-        assert len(keys) == len(pts)
-        for f in pts:
-            validate_forecast(f.probs, SPACE3)
+        assert len({tuple(p) for p in pts.tolist()}) == len(pts)
+        for p in pts:
+            validate_forecast(p, SPACE3)
 
     def test_resolution_cap(self):
         with pytest.raises(ResolutionTooLarge):

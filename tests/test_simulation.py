@@ -73,8 +73,9 @@ class TestScenario:
             )
 
     def test_rejects_bad_trials(self):
-        with pytest.raises(InvalidScenario, match="trials"):
-            _prop1_scenario(trials=0)
+        for trials in (0, True):
+            with pytest.raises(InvalidScenario, match="trials"):
+                _prop1_scenario(trials=trials)
 
 
 class TestSampleState:
