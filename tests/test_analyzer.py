@@ -153,7 +153,64 @@ class TestOracleMaxmin:
             oracle_maxmin(theta, c, grid_k=10**4)
 
 
+class TestExactOracleAgreement:
+    def test_random_finite_sets(self):
+        rng = np.random.default_rng(44)
+        c = Contract(0.1, FIXED_MARGIN)
+        k = 50
+        for _ in range(10):
+            n = int(rng.integers(2, 4))
+            theta = _random_finite_set(rng, n)
+            exact = uninformed_maxmin(theta, c)
+            oracle = oracle_maxmin(theta, c, grid_k=k)
+            assert abs(exact.value - oracle.value) <= 3.0 / k
+
+    def test_uncut_balls(self):
+        rng = np.random.default_rng(45)
+        c = Contract(0.1, FIXED_MARGIN)
+        k = 50
+        for _ in range(5):
+            n = int(rng.integers(2, 4))
+            space = _space(n)
+            while True:
+                center = sample_simplex_uniform(space, rng)
+                limit = float(center.probs.min()) / np.sqrt((n - 1) / n)
+                if limit > 0.06:
+                    break
+            theta = Ball(center, float(rng.uniform(0.05, min(0.95 * limit, 0.4))))
+            exact = uninformed_maxmin(theta, c)
+            oracle = oracle_maxmin(theta, c, grid_k=k)
+            assert abs(exact.value - oracle.value) <= 3.0 / k
+
+
 class TestScreeningTheorems:
+    def test_corrected_screening_below_quarter_diameter(self):
+        from expert_screening import diameter_sq
+
+        rng = np.random.default_rng(46)
+        for _ in range(15):
+            n = int(rng.integers(2, 4))
+            theta = _random_finite_set(rng, n)
+            margin = diameter_sq(theta) / 8.0
+            report = uninformed_maxmin(theta, Contract(margin, FIXED_MARGIN))
+            assert report.decision == REJECT
+
+    def test_paper_epsilon_counterexample_random_witnesses(self):
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            n = int(rng.integers(2, 4))
+            space = _space(n)
+            fx = sample_simplex_uniform(space, rng)
+            fy = sample_simplex_uniform(space, rng)
+            d2 = l2_dist_sq(fx, fy)
+            if d2 < 1e-2:
+                continue
+            theta = FiniteSet((fx, fy))
+            c = make_prop1_contract(fx, fy, PAPER_EPSILON)
+            report = uninformed_maxmin(theta, c)
+            assert report.decision == ACCEPT
+            assert report.value == pytest.approx(d2 / 4.0, abs=1e-7)
+
     def test_prop2_screening(self):
         eps1, eps2, gamma = 0.1, 0.5, 0.1
         c1, c2 = make_prop2_contracts(eps1, eps2, gamma)
@@ -162,3 +219,17 @@ class TestScreeningTheorems:
         r1 = uninformed_maxmin(ball1, c1)
         assert r1.decision == ACCEPT
         assert r1.value == pytest.approx(gamma - eps1**2, abs=1e-9)
+
+
+class TestEq1Reduction:
+    def test_rival_minimum_at_truth(self):
+        rng = np.random.default_rng(48)
+        c = Contract(0.1, FIXED_MARGIN)
+        k = 50
+        for _ in range(5):
+            n = int(rng.integers(2, 4))
+            theta = _random_finite_set(rng, n)
+            report = oracle_maxmin(theta, c, grid_k=k)
+            assert report.details[
+                "reduction_rival_matches_truth_dist_sq"
+            ] <= 2.0 * (n / k) ** 2 + 1e-9
