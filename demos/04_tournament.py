@@ -2,8 +2,10 @@
 
 Acceptance is decided once, before any state is observed; the trials are
 repeated draws of the same one-shot game so empirical payoffs can be
-checked against the analyzer's expectations. Everything derives from the
-(seed, trial index) pair, so reruns are byte-identical.
+checked against the analyzer's expectations. Trials run in blocks, each
+drawn from its own counter-based stream keyed by the seed and the block
+index, and the blocks' payoff moments are merged in block order, so
+reruns are byte-identical.
 """
 
 import json

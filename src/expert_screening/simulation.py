@@ -2,19 +2,23 @@
 
 Acceptance is decided once per scenario (contracts are accepted before
 any state is observed); trials are repeated draws of the same one-shot
-game for statistical verification. Each trial's randomness derives from
-(seed, trial index), so results are independent of execution order.
+game for statistical verification. Trials run in blocks of BLOCK; block b
+draws all of its randomness from its own counter-based stream,
+Philox(key=seed, counter=[0, 0, 0, b]), so results depend only on
+(scenario, seed). Each block's payoff mean and M2 are merged in block
+order with the pairwise update of Chan, Golub & LeVeque (1979).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# unused here, but bench/tracing.py rebinds chebyshev, realized_payoff, sample_simplex_uniform
 from .analyzer import ACCEPT, REJECT, informed_guarantee, uninformed_maxmin
 from .contracts import make_prop1_contract, make_prop2_contracts, realized_payoff
 from .errors import InvalidScenario
-from .plausible import Ball, FiniteSet, chebyshev, sample_from
+from .plausible import Ball, chebyshev, sample_from
 from .simplex import Forecast, StateSpace, sample_simplex_uniform
 
 INFORMED = "informed"
@@ -24,6 +28,9 @@ PARTIAL = "partial"
 ANNOUNCE_TRUTH = "truth"
 ANNOUNCE_CHEBYSHEV = "chebyshev"
 ANNOUNCE_SAMPLE = "sample"
+
+BLOCK = 4096                   # trials per counter-based stream
+RNG_LAYOUT = "philox-block-v1"
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,8 @@ class Scenario:
         # exact type checks, because bool is an int subclass
         if type(self.trials) is not int or self.trials < 1:
             raise InvalidScenario("trials: must be a positive integer")
-        if type(self.seed) is not int or self.seed < 0:
-            raise InvalidScenario("seed: must be a non-negative integer")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**128:
+            raise InvalidScenario("seed: must be an integer in [0, 2**128)")
         if self.nature != "uniform" and not isinstance(self.nature, Forecast):
             raise InvalidScenario("nature: must be 'uniform' or a fixed forecast")
 
@@ -127,32 +134,19 @@ class SimulationReport:
             "screening_correct": self.screening_correct,
             "trial_count": self.trial_count,
             "seed": self.seed,
+            "rng_layout": RNG_LAYOUT,
         }
 
 
-class _Welford:
-    """Streaming mean/variance; memory stays flat at large trial counts."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def stderr(self):
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1) / self.count)
+def block_rng(seed, b):
+    """Generator of trial block b: b sits in the counter's high word, so no
+    two blocks' streams can overlap."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, b]))
 
 
 def sample_state(truth, rng):
-    """Inverse-CDF draw of a state index from a forecast."""
+    """Inverse-CDF draw of a state index from a forecast; the blocked
+    tournament applies the same rule to a block of uniforms at once."""
     u = float(rng.random())
     cdf = np.cumsum(truth.probs)
     return int(min(np.searchsorted(cdf, u, side="right"), truth.n - 1))
@@ -170,12 +164,15 @@ def build_contracts(config):
 
 
 def decide_acceptance(expert, contract, tol=1e-8):
-    """Analyzer decision for one expert: (decision, value, certified)."""
+    """Analyzer decision for one expert: (decision, value, certified,
+    center), where center is the maxmin report's optimal point mass (None
+    for an informed expert)."""
     if expert.kind == INFORMED:
         value = informed_guarantee(contract)
-        return (ACCEPT if value > 0 else REJECT), value, True
+        return (ACCEPT if value > 0 else REJECT), value, True, None
     report = uninformed_maxmin(expert.theta, contract, tol=tol)
-    return report.decision, report.value, report.certified
+    center = report.optimal_strategy.atoms[0][0]
+    return report.decision, report.value, report.certified, center
 
 
 def _expected_roles(experts):
@@ -192,53 +189,79 @@ def _expected_roles(experts):
     return roles
 
 
+def block_payoffs(sc, contracts, decisions):
+    """Yield each block's realized payoffs as a (2, B) array, in block order.
+
+    Block b draws from block_rng(sc.seed, b): first the truths of a uniform
+    nature (a (B, n) array of normalized standard exponentials), then B
+    state uniforms, then each `sample` announcement, trial by trial. Both
+    experts announce every trial (a rejecting expert's announcement still
+    defines the rival forecast for the other side); a rejecting expert's
+    payoffs are 0.
+    """
+    n = sc.states.n
+    static = []  # announced rows; None for truth and per-trial samples
+    for expert, (_, _, _, center) in zip(sc.experts, decisions):
+        if isinstance(expert.announce, Forecast):
+            static.append(expert.announce.probs)
+        elif expert.announce == ANNOUNCE_CHEBYSHEV:
+            static.append(center.probs)
+        else:
+            static.append(None)
+    sampled = [i for i, e in enumerate(sc.experts) if e.announce == ANNOUNCE_SAMPLE]
+    for b, start in enumerate(range(0, sc.trials, BLOCK)):
+        size = min(BLOCK, sc.trials - start)
+        rng = block_rng(sc.seed, b)
+        if sc.nature == "uniform":
+            truth = rng.standard_exponential((size, n))
+            truth /= truth.sum(axis=1, keepdims=True)
+        else:
+            truth = sc.nature.probs
+        u = rng.random(size)
+        # sample_state's inverse-CDF rule, one trial per row
+        states = np.minimum((np.cumsum(truth, axis=-1) <= u[:, None]).sum(axis=1), n - 1)
+        rows = [truth if a is None else a for a in static]
+        if sampled:
+            draws = [[sample_from(sc.experts[i].theta, rng).probs for i in sampled]
+                     for _ in range(size)]
+            for k, i in enumerate(sampled):
+                rows[i] = np.array([d[k] for d in draws])
+        at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]
+        sq = [np.sum(r * r, axis=-1) for r in rows]
+        pay = np.zeros((2, size))
+        for i in range(2):
+            if decisions[i][0] == ACCEPT:
+                pay[i] = 2.0 * (at[i] - at[1 - i]) - sq[i] + sq[1 - i] + contracts[i].margin
+        yield pay
+
+
+def _merge(count, mean, m2, x):
+    """Mean and M2 of `count` earlier payoffs merged with block x, by the
+    pairwise update of Chan, Golub & LeVeque."""
+    size = len(x)
+    block_mean = float(x.mean())
+    total = count + size
+    delta = block_mean - mean
+    return (mean + delta * (size / total),
+            m2 + float(np.sum((x - block_mean) ** 2)) + delta * delta * (count * size / total))
+
+
 def run_tournament(sc):
     """Run a seeded tournament and aggregate realized payoffs.
 
-    Both experts announce every trial (a rejecting expert's announcement
-    still defines the rival forecast for the other side), but rejecting
-    experts record payoff 0. Deterministic given (scenario, seed).
+    Deterministic given (scenario, seed): see block_payoffs for the draws.
+    Each uninformed expert's Chebyshev problem is solved once, in
+    decide_acceptance, and a `chebyshev` announcement is that solve's center.
     """
-    c1, c2 = build_contracts(sc.contract_config)
-    contracts = (c1, c2)
+    contracts = build_contracts(sc.contract_config)
+    decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
 
-    decisions = []
-    for expert, contract in zip(sc.experts, contracts):
-        decisions.append(decide_acceptance(expert, contract))
-
-    # precompute static announcements
-    static_announce = []
-    for expert in sc.experts:
-        if isinstance(expert.announce, Forecast):
-            static_announce.append(expert.announce)
-        elif expert.announce == ANNOUNCE_CHEBYSHEV:
-            static_announce.append(chebyshev(expert.theta).center)
-        else:
-            static_announce.append(None)  # truth or per-trial sample
-
-    stats = [_Welford(), _Welford()]
-    for t in range(sc.trials):
-        rng = np.random.default_rng([sc.seed, t])
-        truth = (
-            sample_simplex_uniform(sc.states, rng)
-            if sc.nature == "uniform"
-            else sc.nature
-        )
-        announced = []
-        for i, expert in enumerate(sc.experts):
-            if static_announce[i] is not None:
-                announced.append(static_announce[i])
-            elif expert.announce == ANNOUNCE_TRUTH:
-                announced.append(truth)
-            else:
-                announced.append(sample_from(expert.theta, rng))
-        s = sample_state(truth, rng)
-        for i in range(2):
-            if decisions[i][0] == ACCEPT:
-                own, rival = announced[i], announced[1 - i]
-                stats[i].add(realized_payoff(contracts[i], own, rival, s))
-            else:
-                stats[i].add(0.0)
+    moments = [(0.0, 0.0), (0.0, 0.0)]
+    count = 0
+    for pay in block_payoffs(sc, contracts, decisions):
+        moments = [_merge(count, mean, m2, x) for (mean, m2), x in zip(moments, pay)]
+        count += pay.shape[1]
+    stderr = [math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0 for _, m2 in moments]
 
     roles = _expected_roles(sc.experts)
     screening_correct = all(
@@ -252,8 +275,8 @@ def run_tournament(sc):
             decision=decisions[i][0],
             analyzer_value=decisions[i][1],
             analyzer_certified=decisions[i][2],
-            mean_payoff=stats[i].mean,
-            payoff_stderr=stats[i].stderr,
+            mean_payoff=moments[i][0],
+            payoff_stderr=stderr[i],
         )
         for i in range(2)
     ]

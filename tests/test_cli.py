@@ -4,7 +4,22 @@ from pathlib import Path
 
 import pytest
 
-from expert_screening import cli, plausible
+from expert_screening import (
+    Ball,
+    ExpertSpec,
+    Forecast,
+    Prop1Config,
+    SAFE_EPSILON,
+    Scenario,
+    StateSpace,
+    analyzer,
+    cli,
+    contracts,
+    plausible,
+    scenario,
+    simplex,
+    simulation,
+)
 from expert_screening.cli import main
 from expert_screening.errors import InvalidScenario
 from expert_screening.scenario import parse_scenario
@@ -197,6 +212,7 @@ class TestVerify:
         (["analyze", DEMO, "--tol", "nan"], 1),
         (["analyze", DEMO, "--unknown-option"], 1),
         (["analyze", "--help"], 0),
+        (["simulate", DEMO, "--trials", "10", "--seed", str(2**128)], 1),
     ],
 )
 def test_bad_arguments_exit_1(argv, code, capsys):
@@ -210,15 +226,62 @@ def test_bad_arguments_exit_1(argv, code, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_bench_tracing_instruments_and_restores(tmp_path):
-    """The benchmark's traced run rebinds package attributes by name."""
+def _bench_tracing():
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", ROOT / "bench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    before = (cli.main, cli.oracle_maxmin, plausible.grid_enumerate)
+    return tracing
+
+
+def _package_attributes():
+    """Every attribute the traced run could rebind, by identity."""
+    modules = (analyzer, cli, contracts, plausible, scenario, simplex, simulation)
+    attrs = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    attrs.update({("Forecast", k): v for k, v in vars(simplex.Forecast).items()})
+    return attrs
+
+
+def _assert_restored(before):
+    after = _package_attributes()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_bench_tracing_instruments_and_restores(tmp_path):
+    """The benchmark's traced run rebinds package attributes by name."""
+    tracing = _bench_tracing()
+    before = _package_attributes()
     with tracing.instrument(tracing.Tracer()) as tracer:
         assert cli.main(["oracle", _write(tmp_path, PROP2), "--grid-k", "10"]) == 0
-    assert (cli.main, cli.oracle_maxmin, plausible.grid_enumerate) == before
+    _assert_restored(before)
     assert tracer.stats["analyzer.oracle_maxmin"][0] == 2
+
+
+def test_bench_tracing_records_sampled_tournament():
+    """A traced tournament with a `sample` announcement records its spans
+    through the rebound simulation attributes."""
+    tracing = _bench_tracing()
+    sc = Scenario(
+        states=StateSpace(("a", "b", "c")),
+        nature=Forecast([0.5, 0.3, 0.2]),
+        experts=(
+            ExpertSpec(id="alice", kind="informed"),
+            ExpertSpec(id="bob", kind="uninformed",
+                       theta=Ball(Forecast([0.4, 0.35, 0.25]), 0.1), announce="sample"),
+        ),
+        contract_config=Prop1Config(
+            policy=SAFE_EPSILON, witnesses=(Forecast([1, 0, 0]), Forecast([0, 1, 0]))
+        ),
+        trials=5,
+        seed=3,
+    )
+    before = _package_attributes()
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        simulation.run_tournament(sc)
+    _assert_restored(before)
+    names = {span[1] for span in tracer.spans}
+    assert "simulation.run_tournament" in names
+    assert tracer.stats["plausible.sample_from.n3"][0] == 5
+    assert "plausible.sample_from.n3" in names

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from expert_screening import (
+    FIXED_MARGIN,
     Ball,
     ExpertSpec,
     FiniteSet,
@@ -15,10 +17,21 @@ from expert_screening import (
     StateSpace,
     expected_payoff,
     make_prop1_contract,
+    realized_payoff,
     run_tournament,
+    sample_from,
     sample_state,
 )
+from expert_screening import analyzer, simulation
 from expert_screening.errors import InvalidScenario
+from expert_screening.plausible import chebyshev
+from expert_screening.simulation import (
+    BLOCK,
+    block_payoffs,
+    block_rng,
+    build_contracts,
+    decide_acceptance,
+)
 
 SPACE2 = StateSpace(("up", "down"))
 FX = Forecast([1, 0])
@@ -76,6 +89,12 @@ class TestScenario:
         for trials in (0, True):
             with pytest.raises(InvalidScenario, match="trials"):
                 _prop1_scenario(trials=trials)
+
+    def test_seed_is_a_philox_key(self):
+        for seed in (-1, 2**128, True):
+            with pytest.raises(InvalidScenario, match="seed"):
+                _prop1_scenario(seed=seed)
+        run_tournament(_prop1_scenario(trials=10, seed=2**128 - 1))
 
 
 class TestSampleState:
@@ -191,3 +210,161 @@ class TestRunTournament:
         assert all(e.decision == "reject" for e in report.experts)
         assert report.screening_correct
         assert all(e.mean_payoff == 0.0 for e in report.experts)
+
+
+SPACE3 = StateSpace(("a", "b", "c"))
+E1, E2, E3 = Forecast([1, 0, 0]), Forecast([0, 1, 0]), Forecast([0, 0, 1])
+TRIANGLE = FiniteSet((E1, E2, E3))
+# three blocks, the last one partial
+REFERENCE_TRIALS = 2 * BLOCK + 1000
+
+
+def _fixed_margin(witnesses, margin=1.0):
+    return Prop1Config(policy=FIXED_MARGIN, witnesses=witnesses, margin=margin)
+
+
+REFERENCE_SCENARIOS = {
+    # fixed nature: truth against a Chebyshev center, both accept
+    "fixed-truth-chebyshev": Scenario(
+        states=SPACE2,
+        nature=Forecast([0.7, 0.3]),
+        experts=(
+            ExpertSpec(id="alice", kind="informed"),
+            ExpertSpec(id="bob", kind="uninformed", theta=VERTICES, announce="chebyshev"),
+        ),
+        contract_config=_fixed_margin((FX, FY)),
+        trials=REFERENCE_TRIALS,
+        seed=12,
+    ),
+    # uniform nature: a fixed announcement against per-trial samples, both accept
+    "uniform-fixed-sample": Scenario(
+        states=SPACE3,
+        nature="uniform",
+        experts=(
+            ExpertSpec(id="u1", kind="uninformed", theta=TRIANGLE,
+                       announce=Forecast([0.2, 0.3, 0.5])),
+            ExpertSpec(id="u2", kind="uninformed", theta=TRIANGLE, announce="sample"),
+        ),
+        contract_config=_fixed_margin((E1, E2)),
+        trials=REFERENCE_TRIALS,
+        seed=13,
+    ),
+    # uniform nature: truth against samples, the sampling expert rejects
+    "uniform-truth-sample-reject": Scenario(
+        states=SPACE2,
+        nature="uniform",
+        experts=(
+            ExpertSpec(id="alice", kind="informed"),
+            ExpertSpec(id="bob", kind="uninformed", theta=VERTICES, announce="sample"),
+        ),
+        contract_config=Prop1Config(policy=SAFE_EPSILON, witnesses=(FX, FY)),
+        trials=REFERENCE_TRIALS,
+        seed=14,
+    ),
+}
+
+
+def _scalar_payoffs(sc):
+    """Every trial recomputed one at a time with the scalar sample_state and
+    realized_payoff, from the same block streams and draw order."""
+    contracts = build_contracts(sc.contract_config)
+    accept = [decide_acceptance(e, c)[0] == "accept" for e, c in zip(sc.experts, contracts)]
+    centers = [chebyshev(e.theta).center if e.announce == "chebyshev" else None
+               for e in sc.experts]
+    pay = [[], []]
+    for b, start in enumerate(range(0, sc.trials, BLOCK)):
+        size = min(BLOCK, sc.trials - start)
+        rng = block_rng(sc.seed, b)
+        if sc.nature == "uniform":
+            exps = rng.standard_exponential((size, sc.states.n))
+            truths = [Forecast.from_row(e / e.sum()) for e in exps]
+        else:
+            truths = [sc.nature] * size
+        states = [sample_state(truth, rng) for truth in truths]
+        for truth, s in zip(truths, states):
+            announced = []
+            for e, center in zip(sc.experts, centers):
+                if e.announce == "truth":
+                    announced.append(truth)
+                elif e.announce == "sample":
+                    announced.append(sample_from(e.theta, rng))
+                else:
+                    announced.append(e.announce if center is None else center)
+            for i in range(2):
+                pay[i].append(
+                    realized_payoff(contracts[i], announced[i], announced[1 - i], s)
+                    if accept[i] else 0.0
+                )
+    return np.array(pay)
+
+
+def _block_payoffs(sc):
+    contracts = build_contracts(sc.contract_config)
+    decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
+    return np.hstack(list(block_payoffs(sc, contracts, decisions)))
+
+
+class TestBlockedTournament:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+    def test_matches_scalar_reference(self, name):
+        sc = REFERENCE_SCENARIOS[name]
+        assert sc.trials > 2 * BLOCK and sc.trials % BLOCK
+        ref = _scalar_payoffs(sc)
+        assert np.allclose(_block_payoffs(sc), ref, rtol=0.0, atol=1e-12)
+        report = run_tournament(sc)
+        for e, x in zip(report.experts, ref):
+            if e.decision == "reject":
+                assert not x.any() and e.mean_payoff == e.payoff_stderr == 0.0
+            assert e.mean_payoff == pytest.approx(np.mean(x), rel=0.0, abs=1e-12)
+            se = np.std(x, ddof=1) / np.sqrt(len(x))
+            assert e.payoff_stderr == pytest.approx(se, rel=0.0, abs=1e-12)
+
+    def test_full_blocks_do_not_depend_on_trial_count(self):
+        k = 2
+        sc = REFERENCE_SCENARIOS["uniform-fixed-sample"]
+        exact = _block_payoffs(dataclasses.replace(sc, trials=k * BLOCK))
+        longer = _block_payoffs(dataclasses.replace(sc, trials=k * BLOCK + 1))
+        assert exact.shape == (2, k * BLOCK)
+        assert np.array_equal(longer[:, : k * BLOCK], exact)
+
+    def test_block_streams_do_not_overlap(self):
+        # a block index in the counter's low word would start block 1 four
+        # words into block 0's stream
+        first = set(block_rng(7, 0).random(4096).tolist())
+        for b in (1, 2, 2**40):
+            assert first.isdisjoint(block_rng(7, b).random(64).tolist())
+        assert np.array_equal(block_rng(7, 1).random(4), block_rng(7, 1).random(4))
+
+    @pytest.mark.parametrize("name", ["prop1", "prop2"])
+    def test_one_chebyshev_solve_per_uninformed_expert(self, name, monkeypatch):
+        solved = []
+        solve = analyzer.chebyshev
+
+        def counting(theta, *args, **kwargs):
+            solved.append(theta)
+            return solve(theta, *args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "chebyshev", counting)
+        monkeypatch.setattr(simulation, "chebyshev", counting)
+        if name == "prop1":
+            sc = _prop1_scenario(trials=100)
+        else:
+            sc = Scenario(
+                states=SPACE3,
+                nature=Forecast([0.5, 0.3, 0.2]),
+                experts=(
+                    ExpertSpec(id="sharp", kind="partial",
+                               theta=Ball(Forecast([0.5, 0.3, 0.2]), 0.1),
+                               announce="chebyshev"),
+                    ExpertSpec(id="blurry", kind="partial",
+                               theta=Ball(Forecast([0.4, 0.35, 0.25]), 0.22),
+                               announce="chebyshev"),
+                ),
+                contract_config=Prop2Config(eps1=0.1, eps2=0.22, gamma=0.02),
+                trials=100,
+                seed=11,
+            )
+        run_tournament(sc)
+        uninformed = [e.theta for e in sc.experts if e.kind != "informed"]
+        assert len(solved) == len(uninformed)
+        assert all(sum(t is theta for t in solved) == 1 for theta in uninformed)
