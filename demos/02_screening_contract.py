@@ -31,7 +31,7 @@ fx = Forecast([0.9, 0.1])
 fy = Forecast([0.2, 0.8])
 theta = FiniteSet((fx, fy))
 
-res = chebyshev(theta, tol=1e-10)
+res = chebyshev(theta)
 print(f"plausible set: {{{fx.probs.tolist()}, {fy.probs.tolist()}}}")
 print(f"chebyshev center {res.center.probs.tolist()}, radius^2 {res.radius_sq:.4f}\n")
 

@@ -49,7 +49,7 @@ def truth_telling_gap(truth, report):
     return l2_dist_sq(truth, report)
 
 
-def uninformed_maxmin(theta, c, tol=1e-8, max_iter=20000):
+def uninformed_maxmin(theta, c):
     """Exact maxmin value: margin minus the squared Chebyshev radius.
 
     The adversary's best reply is a point mass at the worst-case truth;
@@ -57,7 +57,7 @@ def uninformed_maxmin(theta, c, tol=1e-8, max_iter=20000):
     bias-variance decomposition is pure loss); the best point mass is the
     Chebyshev center of theta over the simplex.
     """
-    res = chebyshev(theta, tol=tol, max_iter=max_iter)
+    res = chebyshev(theta)
     value = c.margin - res.radius_sq
     worst, _ = farthest_point(theta, res.center)
     return MaxminReport(

@@ -4,7 +4,9 @@ Reports are machine-readable JSON (CSV for simulate on request); every
 numeric result carries a method tag (exact | oracle | monte_carlo), and
 warnings appear both in the report and on stderr.
 
-Exit codes: 0 success; 1 invalid input; 2 numerical non-convergence;
+Exit codes: 0 success; 1 invalid input; 2 an uncertified Chebyshev solve
+(its radius bounds still more than plausible.GAP_TOL apart after
+plausible.MAX_ROUNDS rounds; the report is written all the same);
 3 verification failure.
 """
 
@@ -12,7 +14,6 @@ import argparse
 import dataclasses
 import io
 import json
-import math
 import sys
 
 from .analyzer import (
@@ -23,7 +24,7 @@ from .analyzer import (
 )
 from .contracts import PAPER_EPSILON
 from .errors import ScreeningError
-from .plausible import Ball
+from .plausible import diameter_sq
 from .scenario import load_scenario
 from .simplex import Forecast
 from .simulation import (
@@ -80,7 +81,7 @@ def _scenario_echo(sc):
     }
 
 
-def _analyze_experts(sc, contracts, tol):
+def _analyze_experts(sc, contracts):
     """Per-expert analyzer results plus warning strings."""
     experts, warnings = [], []
     any_uncertified = False
@@ -92,7 +93,7 @@ def _analyze_experts(sc, contracts, tol):
             entry["value"] = {"value": value, "method": "exact"}
             entry["decision"] = ACCEPT if value > 0 else "reject"
         else:
-            report = uninformed_maxmin(expert.theta, contract, tol=tol)
+            report = uninformed_maxmin(expert.theta, contract)
             entry["value"] = {"value": report.value, "method": "exact"}
             entry["decision"] = report.decision
             entry["chebyshev"] = {
@@ -107,14 +108,7 @@ def _analyze_experts(sc, contracts, tol):
                 warnings.append(
                     f"uncertified chebyshev result for expert '{expert.id}'"
                 )
-            if isinstance(expert.theta, Ball) and not expert.theta.is_uncut():
-                warnings.append(
-                    f"plausible ball of expert '{expert.id}' is clipped by the "
-                    "simplex; its radius was certified numerically"
-                )
             if contract.policy == PAPER_EPSILON and report.decision == ACCEPT:
-                from .plausible import diameter_sq
-
                 warnings.append(
                     f"expert '{expert.id}' ACCEPTS under the half-witness-distance "
                     f"margin {contract.margin}: the margin exceeds the rejection "
@@ -155,7 +149,7 @@ def cmd_report(args):
     """`analyze`; `oracle` is the same report plus a per-expert oracle block."""
     sc = load_scenario(args.scenario)
     contracts = build_contracts(sc.contract_config)
-    experts, warnings, uncertified = _analyze_experts(sc, contracts, args.tol)
+    experts, warnings, uncertified = _analyze_experts(sc, contracts)
     if args.command == "oracle":
         for entry, expert, contract in zip(experts, sc.experts, contracts):
             if expert.kind != INFORMED:
@@ -213,21 +207,15 @@ class _Parser(argparse.ArgumentParser):
         raise ScreeningError(message)
 
 
-def _positive(kind):
-    """argparse type: a finite number of `kind` above zero."""
-
-    def parse(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(
-                f"expected a positive {kind.__name__}, got {text!r}"
-            )
-        return value
-
-    return parse
+def _positive_int(text):
+    """argparse type: an integer above zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -239,14 +227,12 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="margins, maxmin values, accept/reject")
     p.add_argument("scenario", help="path to a scenario JSON file")
-    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("oracle", help="brute-force audit of the exact analyzer")
     p.add_argument("scenario", help="path to a scenario JSON file")
-    p.add_argument("--grid-k", type=_positive(int), default=50, dest="grid_k")
+    p.add_argument("--grid-k", type=_positive_int, default=50, dest="grid_k")
     p.add_argument("--mixtures", action="store_true")
-    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo tournament")

@@ -7,13 +7,15 @@ the uninformed expert's maxmin acceptance value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, count
 
 import numpy as np
 
-from .errors import EmptySet, LengthMismatch
+from .errors import EmptySet, LengthMismatch, ResolutionTooLarge
 from .simplex import (
+    NEG_TOL,
     Forecast,
     StateSpace,
     dist_sq_rows,
@@ -25,6 +27,10 @@ from .simplex import (
 
 MEMBERSHIP_TOL = 1e-9   # boundary tolerance for closed-set membership
 DISTINCT_TOL = 1e-9     # minimum pairwise L2 distance in a finite set
+GAP_TOL = 1e-12         # certified: upper - lower bound on radius^2 within this
+MAX_ROUNDS = 100        # core-set rounds before chebyshev gives up uncertified
+BALL_GRID_POINTS = 1500  # simplex grid size behind _ball_grid
+FACE_STATES_CAP = 16    # clipped-ball farthest point: 2^n faces, n at most this
 
 
 @dataclass(frozen=True)
@@ -87,20 +93,6 @@ def contains(theta, f, tol=MEMBERSHIP_TOL):
     return math.sqrt(l2_dist_sq(theta.center, f)) <= theta.radius + tol
 
 
-def _hyperplane_direction(n):
-    """A unit vector in the sum-zero hyperplane."""
-    d = np.zeros(n)
-    d[0], d[1] = 1.0, -1.0
-    return d / math.sqrt(2.0)
-
-
-def _grid_resolution_for_budget(n, budget):
-    k = 1
-    while math.comb(k + n, n - 1) <= budget:
-        k += 1
-    return k
-
-
 def members(theta, points):
     """Membership mask of the rows of `points`: `contains` on each row."""
     tol = MEMBERSHIP_TOL
@@ -113,33 +105,52 @@ def members(theta, points):
 
 
 @lru_cache(maxsize=64)
-def _ball_grid(ball, budget=1500):
-    """Points of a (cut) ball, one read-only row each: the simplex grid
-    points inside it, surface points along coordinate-pair directions
-    that stay on the simplex, and the center."""
+def _ball_grid(ball):
+    """Points of a (cut) ball, one read-only row each: the points of the
+    finest simplex grid with at most BALL_GRID_POINTS points that fall inside
+    it, surface points along coordinate-pair directions that stay on the
+    simplex, and the center."""
     n = ball.n
-    k = _grid_resolution_for_budget(n, budget)
+    k = next(k for k in count(1) if math.comb(k + n, n - 1) > BALL_GRID_POINTS)
     grid = grid_enumerate(StateSpace(tuple(str(i) for i in range(n))), k)
-    pts = [grid[members(ball, grid)]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = np.zeros(n)
-            d[i], d[j] = 1.0, -1.0
-            p = ball.center.probs + ball.radius * d / math.sqrt(2.0)
-            if p.min() >= -1e-12:
-                pts.append(Forecast(np.clip(p, 0.0, None)).probs[None])
-    pts.append(ball.center.probs[None])
-    out = np.vstack(pts)
+    e = np.eye(n)
+    pairs = (e[:, None] - e[None])[~np.eye(n, dtype=bool)]   # e_i - e_j, i != j
+    p = ball.center.probs + ball.radius * pairs / math.sqrt(2.0)
+    p = np.clip(p[p.min(axis=1) >= -1e-12], 0.0, None)
+    out = np.vstack([grid[members(ball, grid)], p / p.sum(axis=1, keepdims=True),
+                     ball.center.probs])
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=16)
+def _faces(n):
+    """The faces of the simplex with two or more vertices as 0/1 rows, and
+    in each face the unit direction from its second vertex to its first."""
+    if n > FACE_STATES_CAP:
+        raise ResolutionTooLarge(
+            f"clipped ball on {n} states; face enumeration allows at most {FACE_STATES_CAP}"
+        )
+    bits = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
+    masks = bits[bits.sum(axis=1) >= 2].astype(float)
+    rank = np.cumsum(masks, axis=1) * masks
+    return masks, ((rank == 1) * 1.0 - (rank == 2)) / math.sqrt(2.0)
+
+
+def _unit(g, fallback):
+    """Rows of g at unit length; a row shorter than 1e-15 (x at the sphere's
+    center, where every sphere point ties) takes the fallback direction."""
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    return np.where(norm < 1e-15, fallback, g / np.maximum(norm, 1e-300))
 
 
 def farthest_point(theta, point):
     """Farthest element of theta from `point` (a Forecast), with distance^2.
 
     Ties on finite sets break to the lexicographically smallest forecast.
+    On a ball B it is exact: a vertex of Δ inside B, or on a face F of Δ the
+    point of the sphere B ∩ aff(F) opposite x (both points on an edge). The
+    full face goes first; its antipode wins if it lies on the simplex.
     """
     if isinstance(theta, FiniteSet):
         best, best_d = None, -1.0
@@ -150,27 +161,26 @@ def farthest_point(theta, point):
             ):
                 best, best_d = g, d
         return best, best_d
-    # Ball: analytic farthest point is on the surface, opposite `point`
-    c = theta.center.probs
-    x = point.probs
-    gap = c - x
-    norm = math.sqrt(float(np.dot(gap, gap)))
-    if norm < 1e-15:
-        direction = _hyperplane_direction(theta.n)
-    else:
-        direction = gap / norm
-    p = c + theta.radius * direction
-    if p.min() >= -1e-12:
-        far = Forecast(np.clip(p, 0.0, None))
-        return far, (norm + theta.radius) ** 2
-    # clipped ball: fall back to the densest feasible grid of the intersection
-    pts = _ball_grid(theta)
-    d = dist_sq_rows(pts, x)
-    i = int(np.argmax(d))
-    return Forecast.from_row(pts[i]), float(d[i])
+    c, x, r, e = theta.center.probs, point.probs, theta.radius, np.eye(theta.n)
+    delta = c - x
+    cand = c + r * _unit(delta - delta.sum() / theta.n, (e[0] - e[1]) / math.sqrt(2.0))
+    if cand.min() < -NEG_TOL:
+        masks, fallback = _faces(theta.n)
+        size = masks.sum(axis=1, keepdims=True)
+        c_face = masks * (c + (1.0 - masks @ c)[:, None] / size)
+        rho_sq = r * r - np.sum((c - c_face) ** 2, axis=1)
+        ok = rho_sq >= 0.0
+        g = masks * (delta - (masks @ delta)[:, None] / size)
+        step = np.sqrt(rho_sq[ok])[:, None] * _unit(g[ok], fallback[ok])
+        inside = e[dist_sq_rows(e, c) <= r * r]  # vertices of the simplex in B
+        cand = np.vstack([c_face[ok] + step, c_face[ok] - step, inside])
+        cand = cand[cand.min(axis=1) >= -NEG_TOL]
+        cand = cand[int(np.argmax(dist_sq_rows(cand, x)))]
+    far = Forecast(np.clip(cand, 0.0, None))
+    return far, l2_dist_sq(far, point)
 
 
-def diameter_sq(theta, grid_budget=1500):
+def diameter_sq(theta):
     """Maximum squared L2 distance between two points of the set."""
     if isinstance(theta, FiniteSet):
         fs = theta.forecasts
@@ -180,7 +190,7 @@ def diameter_sq(theta, grid_budget=1500):
         )
     if theta.is_uncut():
         return (2.0 * theta.radius) ** 2
-    arr = _ball_grid(theta, grid_budget)
+    arr = _ball_grid(theta)
     sq = np.sum(arr**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T)
     return float(d2.max())
@@ -194,42 +204,49 @@ class ChebyshevResult:
     certified: bool
 
 
-def _initial_center(theta):
-    if isinstance(theta, FiniteSet):
-        return np.mean([f.probs for f in theta.forecasts], axis=0)
-    return theta.center.probs.copy()
+def _grow_support(support, p):
+    """Minimum enclosing ball of the support rows and p (outside their ball,
+    so on the new sphere): (rows, center, radius^2) of the first affinely
+    independent subset with p centered in its hull that holds every row."""
+    Q = np.vstack([support, p])
+    for size in range(len(Q)):
+        for rows in combinations(range(len(support)), size):
+            sub = Q[list(rows) + [len(support)]]
+            A = sub[1:] - sub[0]
+            G = A @ A.T
+            if np.linalg.matrix_rank(G, tol=1e-14 * max(1.0, np.trace(G))) < len(A):
+                continue
+            alpha = np.linalg.solve(G, 0.5 * np.diag(G))
+            weights = np.concatenate([[1.0 - alpha.sum()], alpha])
+            c = weights @ sub
+            r2 = float(dist_sq_rows(sub, c).min())
+            if weights.min() >= -1e-12 and dist_sq_rows(Q, c).max() <= r2 + GAP_TOL:
+                return sub, c, r2
 
 
-def chebyshev(theta, tol=1e-9, max_iter=20000):
-    """Chebyshev center of theta over the simplex, by projected subgradient.
+def chebyshev(theta):
+    """Chebyshev center of theta: its minimum enclosing ball, which is
+    centered in conv(theta) and so in the simplex (an uncut ball is its own).
 
-    Starts from the set's mean, steps 1/sqrt(t), tracks the best iterate,
-    and certifies when the best radius stagnated below tol over the last
-    10 iterations. Uncertified results are still returned (certified=False).
+    A core set grows (Badoiu & Clarkson 2003; Yildirim 2008): each round
+    adds theta's farthest point from the support ball's center and solves
+    that ball again exactly. Its radius^2 bounds theta's from below, the
+    farthest distance^2 (radius_sq) from above; certified within GAP_TOL.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    c = _initial_center(theta)
-    f_star, r = farthest_point(theta, Forecast(c))
-    best_c, best_r = c, r
-    history = [best_r]
-    certified = False
-    step0 = 0.5 * math.sqrt(max(best_r, 1e-12))
-    iterations = 0
-    for t in range(1, max_iter + 1):
-        iterations = t
-        grad = 2.0 * (c - f_star.probs)
-        c = project_to_simplex(c - (step0 / math.sqrt(t)) * grad)
-        f_star, r = farthest_point(theta, Forecast(c))
-        if r < best_r:
-            best_r, best_c = r, c
-        history.append(best_r)
-        if len(history) > 11:
-            history.pop(0)
-        if t >= 50 and len(history) == 11 and history[0] - history[-1] < tol:
-            certified = True
+    if isinstance(theta, Ball) and theta.is_uncut():
+        return ChebyshevResult(Forecast(theta.center.probs), theta.radius**2, 0, True)
+    first = theta.forecasts[0] if isinstance(theta, FiniteSet) else theta.center
+    support, c, lower = first.probs[None], first.probs, 0.0
+    for rounds in range(1, MAX_ROUNDS + 1):
+        center = Forecast(c)
+        far, upper = farthest_point(theta, center)
+        if upper - lower <= GAP_TOL:
+            return ChebyshevResult(center, upper, rounds, True)
+        grown = _grow_support(support, far.probs)
+        if grown is None:
             break
-    return ChebyshevResult(Forecast(best_c), best_r, iterations, certified)
+        support, c, lower = grown
+    return ChebyshevResult(center, upper, rounds, False)
 
 
 def sample_from(theta, rng, max_rejections=10**4):

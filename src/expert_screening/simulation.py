@@ -163,14 +163,14 @@ def build_contracts(config):
     raise InvalidScenario("contract: unknown contract configuration")
 
 
-def decide_acceptance(expert, contract, tol=1e-8):
+def decide_acceptance(expert, contract):
     """Analyzer decision for one expert: (decision, value, certified,
     center), where center is the maxmin report's optimal point mass (None
     for an informed expert)."""
     if expert.kind == INFORMED:
         value = informed_guarantee(contract)
         return (ACCEPT if value > 0 else REJECT), value, True, None
-    report = uninformed_maxmin(expert.theta, contract, tol=tol)
+    report = uninformed_maxmin(expert.theta, contract)
     center = report.optimal_strategy.atoms[0][0]
     return report.decision, report.value, report.certified, center
 

@@ -39,6 +39,7 @@ from .simplex import (
     Forecast,
     MixedStrategy,
     StateSpace,
+    dist_sq_rows,
     grid_enumerate,
     l2_dist_sq,
     mixed_mean,
@@ -76,13 +77,7 @@ def _random_uncut_ball(rng, n):
 def _grid_chebyshev_radius_sq(theta_points, space, k):
     """Independent oracle: min over grid centers of the max squared distance."""
     G = grid_enumerate(space, k)
-    P = np.array([p.probs for p in theta_points])
-    D = (
-        np.sum(G**2, axis=1)[:, None]
-        + np.sum(P**2, axis=1)[None, :]
-        - 2.0 * (G @ P.T)
-    )
-    return float(D.max(axis=1).min())
+    return float(np.max([dist_sq_rows(G, p.probs) for p in theta_points], axis=0).min())
 
 
 def check_lemma1_identity(quick):
@@ -209,11 +204,11 @@ def check_chebyshev_two_point(quick):
         if l2_dist_sq(a, b) < 1e-4:
             continue
         theta = FiniteSet((a, b))
-        res = chebyshev(theta, tol=1e-10)
+        res = chebyshev(theta)
         mid = Forecast((a.probs + b.probs) / 2.0)
-        if l2_dist_sq(res.center, mid) >= 1e-8:
+        if l2_dist_sq(res.center, mid) >= 1e-12:
             return False, "center not at the midpoint"
-        if abs(res.radius_sq - diameter_sq(theta) / 4.0) >= 1e-8:
+        if abs(res.radius_sq - diameter_sq(theta) / 4.0) >= 1e-12:
             return False, "radius_sq != diameter_sq / 4"
     return True, f"{count} random two-point sets"
 
@@ -225,7 +220,7 @@ def check_chebyshev_vs_grid(quick):
     for _ in range(count):
         n = int(rng.integers(2, 4))
         theta = _random_finite_set(rng, n, max_points=6)
-        res = chebyshev(theta, tol=1e-9)
+        res = chebyshev(theta)
         oracle = _grid_chebyshev_radius_sq(theta.forecasts, _space(n), k)
         if abs(res.radius_sq - oracle) > 3.0 / k:
             return False, f"|{res.radius_sq} - {oracle}| > {3.0 / k}"
@@ -281,7 +276,7 @@ def check_paper_epsilon_counterexample(quick):
         exact = uninformed_maxmin(theta, c)
         oracle = oracle_maxmin(theta, c, grid_k=50)
         expected = d2 / 4.0
-        if exact.decision != ACCEPT or abs(exact.value - expected) > 1e-7:
+        if exact.decision != ACCEPT or abs(exact.value - expected) > 1e-12:
             return False, f"exact value {exact.value}, expected {expected}"
         if oracle.decision != ACCEPT or abs(oracle.value - expected) > 0.06:
             return False, f"oracle value {oracle.value}, expected {expected}"
@@ -311,9 +306,9 @@ def check_prop2_screening(quick):
         c1, c2 = make_prop2_contracts(eps1, eps2, gamma)
         r1 = uninformed_maxmin(ball1, c1)
         r2 = uninformed_maxmin(ball2, c2)
-        if abs(r1.value - (gamma - eps1**2)) > 1e-6 or r1.decision != ACCEPT:
+        if abs(r1.value - (gamma - eps1**2)) > 1e-12 or r1.decision != ACCEPT:
             return False, f"expert 1 value {r1.value} vs {gamma - eps1**2}"
-        if abs(r2.value - (gamma - eps2**2)) > 1e-6 or r2.decision != REJECT:
+        if abs(r2.value - (gamma - eps2**2)) > 1e-12 or r2.decision != REJECT:
             return False, f"expert 2 value {r2.value} vs {gamma - eps2**2}"
         for ball, c, exact in ((ball1, c1, r1), (ball2, c2, r2)):
             oracle = oracle_maxmin(ball, c, grid_k=k)

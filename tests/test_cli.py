@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -124,6 +125,20 @@ class TestAnalyze:
     def test_missing_file_exits_1(self, capsys):
         assert main(["analyze", "/nonexistent/path.json"]) == 1
 
+    def test_uncertified_chebyshev_exits_2(self, monkeypatch, capsys):
+        solve = analyzer.chebyshev
+
+        def uncertified(theta):
+            return dataclasses.replace(solve(theta), certified=False)
+
+        monkeypatch.setattr(analyzer, "chebyshev", uncertified)
+        assert main(["analyze", DEMO]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["experts"][1]["chebyshev"]["certified"] is False
+        assert report["warnings"] == ["uncertified chebyshev result for expert 'bob'"]
+        assert "warning: uncertified chebyshev result" in captured.err
+
     def test_prop2_values(self, tmp_path, capsys):
         code = main(["analyze", _write(tmp_path, PROP2)])
         assert code == 0
@@ -208,8 +223,8 @@ class TestVerify:
         (["oracle", DEMO, "--grid-k", "0"], 1),
         (["oracle", DEMO, "--grid-k", "-3"], 1),
         (["oracle", DEMO, "--grid-k", "abc"], 1),
-        (["analyze", DEMO, "--tol", "-1"], 1),
-        (["analyze", DEMO, "--tol", "nan"], 1),
+        (["analyze", DEMO, "--tol", "1e-8"], 1),  # --tol no longer exists
+        (["oracle", DEMO, "--tol", "1e-8"], 1),
         (["analyze", DEMO, "--unknown-option"], 1),
         (["analyze", "--help"], 0),
         (["simulate", DEMO, "--trials", "10", "--seed", str(2**128)], 1),

@@ -23,7 +23,8 @@ for _name in ("prop1_paper", "prop1_safe", "prop2_balls"):
     RUNS[f"analyze-{_name}"] = ["analyze", _path]
     RUNS[f"oracle-{_name}"] = ["oracle", _path]
     RUNS[f"simulate-{_name}"] = ["simulate", _path, "--trials", "2000"]
-# a ball clipped by the simplex: the grid-based farthest point and ball grid
+# a ball clipped by the simplex: the face-enumerating farthest point, and the
+# ball grid behind the oracle
 RUNS["analyze-clipped_ball_n3"] = ["analyze", CLIPPED]
 RUNS["oracle-clipped_ball_n3"] = ["oracle", CLIPPED, "--grid-k", "20"]
 

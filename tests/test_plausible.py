@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,27 @@ from expert_screening import (
     chebyshev,
     contains,
     diameter_sq,
+    farthest_point,
+    grid_enumerate,
     sample_from,
+    sample_simplex_uniform,
     validate_forecast,
 )
+from expert_screening.errors import ResolutionTooLarge
+from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
 
+
+def _bench_reference():
+    """bench/reference.py: exact enclosing balls that never import the package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _bench_reference()
 SPACE2 = StateSpace(("a", "b"))
 VERTICES = FiniteSet((Forecast([1, 0]), Forecast([0, 1])))
 
@@ -77,9 +95,9 @@ class TestDiameterSq:
 
 class TestChebyshev:
     def test_two_vertices(self):
-        res = chebyshev(VERTICES, tol=1e-10)
-        assert np.allclose(res.center.probs, [0.5, 0.5], atol=1e-6)
-        assert res.radius_sq == pytest.approx(0.5, abs=1e-9)
+        res = chebyshev(VERTICES)
+        assert np.allclose(res.center.probs, [0.5, 0.5], rtol=0.0, atol=1e-12)
+        assert res.radius_sq == pytest.approx(0.5, abs=1e-12)
 
     def test_singleton(self):
         f = Forecast([0.3, 0.7])
@@ -89,9 +107,9 @@ class TestChebyshev:
         assert res.certified
 
     def test_uncut_ball(self):
-        res = chebyshev(Ball(Forecast([0.5, 0.5]), 0.1), tol=1e-10)
-        assert np.allclose(res.center.probs, [0.5, 0.5], atol=1e-6)
-        assert res.radius_sq == pytest.approx(0.01, abs=1e-9)
+        res = chebyshev(Ball(Forecast([0.5, 0.5]), 0.1))
+        assert np.allclose(res.center.probs, [0.5, 0.5], rtol=0.0, atol=1e-12)
+        assert res.radius_sq == pytest.approx(0.01, abs=1e-12)
 
     def test_center_on_simplex(self):
         rng = np.random.default_rng(21)
@@ -105,16 +123,83 @@ class TestChebyshev:
         for _ in range(30):
             n = int(rng.integers(2, 4))
             theta = _random_finite_set(rng, n, max_points=6)
-            res = chebyshev(theta, tol=1e-9)
+            res = chebyshev(theta)
             d2 = diameter_sq(theta)
-            assert res.radius_sq >= d2 / 4 - 1e-6
+            assert res.radius_sq >= d2 / 4 - 1e-12
             assert res.radius_sq <= d2 + 1e-9
 
-    def test_uncertified_when_starved(self):
-        rng = np.random.default_rng(25)
-        theta = _random_finite_set(rng, 3, max_points=6)
-        res = chebyshev(theta, tol=1e-15, max_iter=20)
-        assert not res.certified
+    def test_finite_sets_match_support_enumeration(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            theta = _random_finite_set(rng, n, max_points=8, min_points=1)
+            _, r2 = REFERENCE.meb_support_enumeration([f.probs for f in theta.forecasts])
+            res = chebyshev(theta)
+            assert res.certified
+            assert abs(res.radius_sq - r2) <= 1e-12
+
+
+def _clipped_ball(rng, n):
+    """A ball whose sphere reaches past a face of the simplex."""
+    while True:
+        center = sample_simplex_uniform(_space(n), rng)
+        limit = float(center.probs.min()) / math.sqrt((n - 1) / n)
+        ball = Ball(center, float(rng.uniform(1.05 * limit, limit + 0.5)))
+        if not ball.is_uncut():
+            return ball
+
+
+GRID_K = {2: 2000, 3: 60, 4: 25, 5: 14, 6: 10, 7: 8, 8: 7}
+
+
+class TestClippedBall:
+    def test_farthest_point_never_beaten_by_grid(self):
+        rng = np.random.default_rng(31)
+        for i in range(70):
+            n = 2 + i % 7
+            ball = _clipped_ball(rng, n)
+            grid = grid_enumerate(_space(n), GRID_K[n])
+            grid = grid[dist_sq_rows(grid, ball.center.probs) <= ball.radius**2]
+            queries = [sample_simplex_uniform(_space(n), rng) for _ in range(3)]
+            for x in queries + [ball.center, chebyshev(ball).center]:
+                far, d2 = farthest_point(ball, x)
+                assert contains(ball, far)
+                own = float(np.sum((far.probs - x.probs) ** 2))
+                assert d2 == pytest.approx(own, abs=1e-15)
+                if len(grid):
+                    assert float(dist_sq_rows(grid, x.probs).max()) <= d2 + 1e-12
+
+    def test_chebyshev_within_reference_brackets(self):
+        rng = np.random.default_rng(32)
+        for i in range(70):
+            n = 2 + i % 7
+            ball = _clipped_ball(rng, n)
+            res = chebyshev(ball)
+            assert res.certified
+            sample_r2, far2 = REFERENCE.clipped_ball_brackets(
+                ball.center.probs, ball.radius, res.center.probs, res.radius_sq, rng
+            )
+            assert sample_r2 <= res.radius_sq + 1e-12
+            assert far2 <= res.radius_sq + 1e-12
+
+    def test_too_many_states_for_face_enumeration(self):
+        center = Forecast(np.r_[0.01, np.full(16, 0.99 / 16)])
+        ball = Ball(center, 0.2)
+        assert not ball.is_uncut()
+        with pytest.raises(ResolutionTooLarge):
+            chebyshev(ball)
+
+    def test_farthest_point_next_to_the_center(self):
+        # x within ~1e-14 of the center: the direction to the antipode must
+        # stay in the sum-zero plane, or the candidate leaves the simplex
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            ball = Ball(Forecast(0.125 + 0.5 * rng.dirichlet(np.ones(4))), 0.01)
+            x = Forecast(ball.center.probs + 1e-15 * rng.standard_normal(4))
+            far, d2 = farthest_point(ball, x)
+            assert contains(ball, far)
+            gap = math.sqrt(float(np.sum((ball.center.probs - x.probs) ** 2)))
+            assert d2 == pytest.approx((gap + ball.radius) ** 2, abs=1e-12)
 
 
 class TestSampleFrom:
