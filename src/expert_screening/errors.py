@@ -22,7 +22,7 @@ class IndexOutOfRange(ScreeningError):
 
 
 class ResolutionTooLarge(ScreeningError):
-    """Grid enumeration would exceed the configured point cap."""
+    """A grid, a face enumeration or the ball sampler would exceed its cap."""
 
 
 class EmptySet(ScreeningError):

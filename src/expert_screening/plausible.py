@@ -21,7 +21,7 @@ from .simplex import (
     dist_sq_rows,
     grid_enumerate,
     l2_dist_sq,
-    project_to_simplex,
+    project_to_simplex,  # unused; bench/tracing.py rebinds it here
     sample_simplex_uniform,
 )
 
@@ -31,6 +31,7 @@ GAP_TOL = 1e-12         # certified: upper - lower bound on radius^2 within this
 MAX_ROUNDS = 100        # core-set rounds before chebyshev gives up uncertified
 BALL_GRID_POINTS = 1500  # simplex grid size behind _ball_grid
 FACE_STATES_CAP = 16    # clipped-ball farthest point: 2^n faces, n at most this
+MAX_PROPOSALS = 10**4   # ball sampler: proposals before ResolutionTooLarge
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,15 @@ class Ball:
         return float(self.center.probs.min()) >= drop - 1e-12
 
 
-def contains(theta, f, tol=MEMBERSHIP_TOL):
-    """Closed-set membership with boundary tolerance."""
+def contains(theta, f):
+    """Closed-set membership with boundary tolerance MEMBERSHIP_TOL."""
     if isinstance(theta, FiniteSet):
         if theta.n != f.n:
             raise LengthMismatch("forecast length differs from set's")
-        return any(l2_dist_sq(g, f) <= tol**2 for g in theta.forecasts)
+        return any(l2_dist_sq(g, f) <= MEMBERSHIP_TOL**2 for g in theta.forecasts)
     if theta.n != f.n:
         raise LengthMismatch("forecast length differs from ball's")
-    return math.sqrt(l2_dist_sq(theta.center, f)) <= theta.radius + tol
+    return math.sqrt(l2_dist_sq(theta.center, f)) <= theta.radius + MEMBERSHIP_TOL
 
 
 def members(theta, points):
@@ -249,25 +250,29 @@ def chebyshev(theta):
     return ChebyshevResult(center, upper, rounds, False)
 
 
-def sample_from(theta, rng, max_rejections=10**4):
-    """Draw a forecast from theta: uniform over a finite set; for balls,
-    rejection sampling of uniform simplex draws with a Gaussian fallback."""
+def sample_from(theta, rng):
+    """Draw a forecast from theta uniformly: over a finite set, or over B ∩ Δ
+    for a ball B by rejection from the one of B and Δ with less (n-1)-volume.
+    A point of B is c + r u^(1/(n-1)) d for a Gaussian direction d on the
+    sum-zero plane (Muller 1959). Raises ResolutionTooLarge after
+    MAX_PROPOSALS misses."""
     if isinstance(theta, FiniteSet):
         idx = int(rng.integers(len(theta.forecasts)))
         return theta.forecasts[idx]
-    space = StateSpace(tuple(str(i) for i in range(theta.n)))
-    for _ in range(max_rejections):
-        f = sample_simplex_uniform(space, rng)
-        if contains(theta, f):
-            return f
-    # fallback: project a Gaussian perturbation of the center, then pull
-    # back inside the ball along the chord to the center (stays on simplex)
-    g = project_to_simplex(
-        theta.center.probs + rng.normal(scale=theta.radius / 2.0, size=theta.n)
-    )
-    f = Forecast(g)
-    dist = math.sqrt(l2_dist_sq(f, theta.center))
-    if dist > theta.radius:
-        lam = theta.radius / dist
-        f = Forecast(theta.center.probs + lam * (f.probs - theta.center.probs))
-    return f
+    n, c, r = theta.n, theta.center.probs, theta.radius
+    from_ball = ((n - 1) * math.log(math.sqrt(math.pi) * r) - math.lgamma((n + 1) / 2)
+                 < 0.5 * math.log(n) - math.lgamma(n))  # log vol B < log vol Δ
+    space = StateSpace(tuple(str(i) for i in range(n)))
+    for _ in range(MAX_PROPOSALS):
+        if from_ball:
+            g = rng.standard_normal(n)
+            g -= g.mean()
+            x = c + r * rng.random() ** (1.0 / (n - 1)) / np.linalg.norm(g) * g
+            if x.min() >= 0.0:
+                return Forecast(x)
+        else:
+            f = sample_simplex_uniform(space, rng)
+            if contains(theta, f):
+                return f
+    raise ResolutionTooLarge(f"ball of radius {r} on {n} states: "
+                             f"no uniform draw in {MAX_PROPOSALS} proposals")

@@ -201,6 +201,27 @@ class TestSimulate:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_sampler_without_draw_exits_1(self, tmp_path, capsys):
+        vertex = [1.0] + [0.0] * 11
+        raw = {
+            "states": [f"s{i}" for i in range(12)],
+            "nature": {"kind": "fixed", "forecast": vertex},
+            "experts": [
+                {"id": "alice", "kind": "informed", "announce": "truth"},
+                {"id": "bob", "kind": "uninformed", "announce": "sample",
+                 "theta": {"kind": "ball", "center": vertex, "radius": 0.05}},
+            ],
+            "contract": {"kind": "prop1", "policy": "safe",
+                         "witnesses": [vertex, [0.0, 1.0] + [0.0] * 10]},
+            "trials": 10,
+            "seed": 1,
+        }
+        assert main(["simulate", _write(tmp_path, raw)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "12 states" in captured.err
+
     def test_seed_override(self, tmp_path, capsys):
         path = _write(tmp_path, TWO_POINT_SAFE)
         main(["simulate", path, "--seed", "123"])

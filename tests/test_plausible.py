@@ -20,6 +20,7 @@ from expert_screening import (
     validate_forecast,
 )
 from expert_screening.errors import ResolutionTooLarge
+from expert_screening.plausible import members
 from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
 
@@ -36,6 +37,7 @@ def _bench_reference():
 REFERENCE = _bench_reference()
 SPACE2 = StateSpace(("a", "b"))
 VERTICES = FiniteSet((Forecast([1, 0]), Forecast([0, 1])))
+CHI2_9_999 = 27.877  # 0.999 quantile of the chi-square law with 9 degrees of freedom
 
 
 class TestConstruction:
@@ -217,11 +219,69 @@ class TestSampleFrom:
             assert contains(theta, sample_from(theta, rng))
 
     def test_tiny_ball_fallback_members(self):
-        # rejection sampling will exhaust; the Gaussian fallback must stay inside
+        # a ball far smaller than the simplex proposes from itself
         theta = Ball(Forecast([0.5, 0.5]), 1e-6)
         rng = np.random.default_rng(28)
-        f = sample_from(theta, rng, max_rejections=10)
+        f = sample_from(theta, rng)
         assert contains(theta, f)
+
+    @pytest.mark.parametrize(
+        "n, r, draws", [(3, 0.1, 500), (8, 0.1, 500), (20, 0.03, 500), (8, 0.05, 64)]
+    )
+    def test_uniform_in_uncut_balls(self, n, r, draws):
+        # For X uniform in an (n-1)-ball, U = (|X-c|^2/r^2)^((n-1)/2) is
+        # uniform on [0, 1]; chi-square over 10 bins of U. At n=8, r=0.05 a
+        # loop proposing uniform simplex points keeps about 1 in 10^4.
+        rng = np.random.default_rng([30, n, draws])
+        ball = Ball(Forecast(0.85 / n + 0.15 * rng.dirichlet(np.ones(n))), r)
+        assert ball.is_uncut()
+        x = np.array([sample_from(ball, rng).probs for _ in range(draws)])
+        u = (dist_sq_rows(x, ball.center.probs) / r**2) ** ((n - 1) / 2)
+        counts = np.bincount(np.minimum((10 * u).astype(int), 9), minlength=10)
+        assert float(np.sum((counts - draws / 10) ** 2) / (draws / 10)) < CHI2_9_999
+
+    def test_clipped_ball_matches_grid(self):
+        # share of B ∩ Δ with x0 > c0: draws against the grid points in B
+        ball = Ball(Forecast([0.7, 0.2, 0.1]), 0.3)
+        assert not ball.is_uncut()
+        grid = grid_enumerate(StateSpace(("a", "b", "c")), 600)
+        expect = float(np.mean(grid[members(ball, grid), 0] > 0.7))
+        rng = np.random.default_rng(31)
+        draws = 4000
+        x = np.array([sample_from(ball, rng).probs for _ in range(draws)])
+        assert all(contains(ball, Forecast(row)) for row in x)
+        share = float(np.mean(x[:, 0] > 0.7))
+        assert abs(share - expect) <= 4.0 * math.sqrt(expect * (1.0 - expect) / draws)
+
+    def test_ball_larger_than_simplex_proposes_from_simplex(self):
+        # a ball with more area than the simplex keeps uniform simplex points
+        # that fall inside it, draw for draw on the same stream
+        ball = Ball(Forecast([1, 0, 0]), 1.0)
+        space = StateSpace(("0", "1", "2"))
+        rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+
+        def reference():
+            while True:
+                f = sample_simplex_uniform(space, ref_rng)
+                if contains(ball, f):
+                    return f
+
+        for _ in range(200):
+            assert sample_from(ball, rng) == reference()
+
+    def test_large_uncut_ball(self):
+        n = 200
+        ball = Ball(Forecast(np.full(n, 1.0 / n)), 0.004)
+        assert ball.is_uncut()
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            assert contains(ball, sample_from(ball, rng))
+
+    def test_small_ball_at_a_vertex_raises(self):
+        # B ∩ Δ is about 1/n! of B: no draw within MAX_PROPOSALS
+        ball = Ball(Forecast(np.eye(12)[0]), 0.05)
+        with pytest.raises(ResolutionTooLarge, match="12 states"):
+            sample_from(ball, np.random.default_rng(34))
 
     def test_finite_frequencies(self):
         theta = VERTICES
