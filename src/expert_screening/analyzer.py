@@ -5,6 +5,7 @@ The exact path is the product; the oracle is the auditor. Both return the
 same report type so callers can diff them.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .simplex import (
 
 ACCEPT = "accept"
 REJECT = "reject"
+BLOCK_ENTRIES = 2**16   # oracle: candidate x grid entries per reduction block
 
 
 @dataclass
@@ -88,28 +90,66 @@ def _adversary_candidates(theta, grid):
     return cand[np.sort(first)]
 
 
+_scratch = threading.local()
+
+
+def _block_buffers(rows, cols):
+    """Two (rows, cols) arrays for `_column_max_dist_sq`. When a block fits
+    in BLOCK_ENTRIES entries they are views of one array of 2 * BLOCK_ENTRIES
+    floats (1 MiB) kept per thread, so successive calls write the same pages
+    instead of faulting in fresh ones; a larger block (rows of more than
+    BLOCK_ENTRIES / 2 grid points) is allocated for the call."""
+    size = rows * cols
+    if size > BLOCK_ENTRIES:
+        return np.empty((rows, cols)), np.empty((rows, cols))
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.shape[1] != BLOCK_ENTRIES:
+        buf = _scratch.buf = np.empty((2, BLOCK_ENTRIES))
+    return buf[0, :size].reshape(rows, cols), buf[1, :size].reshape(rows, cols)
+
+
+def _column_max_dist_sq(A, sq_a, G, sq_g):
+    """max over the rows a of A of ||a - g||^2 for each row g of G, clipped
+    at 0; sq_a, sq_g are the rows' squared norms. Walks A in blocks of
+    BLOCK_ENTRIES // len(G) rows, at least 2, through the two buffers of
+    `_block_buffers`, so memory is linear in len(G). Every block is full:
+    the last one ends at len(A) and overlaps its predecessor, which leaves
+    the maxima as they are; a one-row product would go to gemv, which
+    rounds unlike the full matrix's gemm. Clipping is monotone, so it
+    commutes with the max."""
+    rows = min(len(A), max(2, BLOCK_ENTRIES // len(G)))
+    d, p = _block_buffers(rows, len(G))
+    out = np.full(len(G), -np.inf)
+    for start in range(0, len(A), rows):
+        lo = min(start, len(A) - rows)
+        np.add(sq_a[lo : lo + rows, None], sq_g, out=d)
+        np.matmul(A[lo : lo + rows], G.T, out=p)
+        p *= 2.0
+        d -= p
+        np.maximum(out, d.max(axis=0), out=out)
+    return np.clip(out, 0.0, None, out=out)
+
+
 def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
     """Brute-force maxmin over grid strategies and adversary truths.
 
-    Strategies are point masses on the simplex grid (plus, optionally,
-    two-point mixtures with weights 0.1..0.9). For each strategy the
-    adversary picks the worst truth in theta with the rival forecasting
-    it; all grid rivals are also scanned to confirm that deviating from
-    the truth never helps the adversary.
+    Strategies are point masses on the simplex grid of C(grid_k+n-1, n-1)
+    points, at most `cap` (plus, optionally, two-point mixtures with weights
+    0.1..0.9). For each strategy the adversary picks the worst truth in theta
+    with the rival forecasting it; all grid rivals are also scanned to confirm
+    that deviating from the truth never helps the adversary. The point-mass
+    scan streams the candidate x grid distances in blocks, so memory is linear
+    in the grid size and time scales with grid points x candidates; the
+    mixture scan builds the full matrix behind its own budget cap.
     """
     n = theta.n
     space = StateSpace(tuple(str(i) for i in range(n)))
     G = grid_enumerate(space, grid_k, cap=cap)       # (num_grid, n)
     A = _adversary_candidates(theta, G)              # (num_cand, n)
-    # squared distances cand x grid
-    D = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(G**2, axis=1)[None, :]
-        - 2.0 * (A @ G.T)
-    )
-    np.clip(D, 0.0, None, out=D)
+    sq_a = np.sum(A**2, axis=1)
+    sq_g = np.sum(G**2, axis=1)
 
-    worst_per_pm = D.max(axis=0)                     # worst-case loss per point mass
+    worst_per_pm = _column_max_dist_sq(A, sq_a, G, sq_g)  # worst-case loss per point mass
     pm_values = c.margin - worst_per_pm
     best_j = int(np.argmax(pm_values))               # first occurrence: deterministic
     best_value = float(pm_values[best_j])
@@ -123,6 +163,7 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
             raise ResolutionTooLarge(
                 f"two-point mixture scan needs {budget} evaluations; lower grid_k"
             )
+        D = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
         best_mix = -np.inf
         weights = [w / 10.0 for w in range(1, 10)]
         for i in range(len(G)):
@@ -137,7 +178,7 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
         best_value = max(best_value, best_mix)
 
     # worst truth for the best point mass, lexicographically smallest tie
-    col = D[:, best_j]
+    col = np.clip(sq_a + sq_g[best_j] - 2.0 * (A @ G[best_j : best_j + 1].T)[:, 0], 0.0, None)
     worst_d = float(col.max())
     ties = A[col >= worst_d - 1e-12]
     worst_truth = Forecast.from_row(ties[np.lexsort(ties.T[::-1])[0]])

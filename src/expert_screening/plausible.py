@@ -138,6 +138,16 @@ def _faces(n):
     return masks, ((rank == 1) * 1.0 - (rank == 2)) / math.sqrt(2.0)
 
 
+@lru_cache(maxsize=16)
+def _tie_direction(n):
+    """(e_0 - e_1) / sqrt(2) on n states, read-only: the uncut ball's
+    farthest-point direction when x sits at the center."""
+    e = np.eye(n)
+    out = (e[0] - e[1]) / math.sqrt(2.0)
+    out.flags.writeable = False
+    return out
+
+
 def _unit(g, fallback):
     """Rows of g at unit length; a row shorter than 1e-15 (x at the sphere's
     center, where every sphere point ties) takes the fallback direction."""
@@ -162,11 +172,12 @@ def farthest_point(theta, point):
             ):
                 best, best_d = g, d
         return best, best_d
-    c, x, r, e = theta.center.probs, point.probs, theta.radius, np.eye(theta.n)
+    c, x, r = theta.center.probs, point.probs, theta.radius
     delta = c - x
-    cand = c + r * _unit(delta - delta.sum() / theta.n, (e[0] - e[1]) / math.sqrt(2.0))
+    cand = c + r * _unit(delta - delta.sum() / theta.n, _tie_direction(theta.n))
     if cand.min() < -NEG_TOL:
         masks, fallback = _faces(theta.n)
+        e = np.eye(theta.n)
         size = masks.sum(axis=1, keepdims=True)
         c_face = masks * (c + (1.0 - masks @ c)[:, None] / size)
         rho_sq = r * r - np.sum((c - c_face) ** 2, axis=1)

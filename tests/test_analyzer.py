@@ -1,3 +1,6 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from expert_screening import (
     truth_telling_gap,
     uninformed_maxmin,
 )
+from expert_screening import analyzer
 from expert_screening.errors import ResolutionTooLarge
 from expert_screening.verify import _random_finite_set, _space
 
@@ -151,6 +155,82 @@ class TestOracleMaxmin:
         )
         with pytest.raises(ResolutionTooLarge):
             oracle_maxmin(theta, c, grid_k=10**4)
+
+
+def _full_matrix_oracle(theta, c, k):
+    """The oracle's point-mass scan on the whole candidate x grid matrix:
+    (value, strategy row, worst truth row, details)."""
+    G = grid_enumerate(_space(theta.n), k)
+    A = analyzer._adversary_candidates(theta, G)
+    sq_a, sq_g = np.sum(A**2, axis=1), np.sum(G**2, axis=1)
+    D = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
+    pm_values = c.margin - D.max(axis=0)
+    j = int(np.argmax(pm_values))
+    col = D[:, j]
+    ties = A[col >= col.max() - 1e-12]
+    worst = ties[np.lexsort(ties.T[::-1])[0]]
+    rival_d = np.sum((G - worst) ** 2, axis=1)
+    r = int(np.argmin(rival_d))
+    d = G[r] - worst
+    details = {"grid_k": k, "margin": c.margin,
+               "best_point_mass_value": float(pm_values[j]),
+               "reduction_min_rival_dist_sq": float(rival_d[r]),
+               "reduction_rival_matches_truth_dist_sq": float(np.dot(d, d))}
+    return float(pm_values[j]), G[j], worst, details, len(A), len(G)
+
+
+def _audit_sets(rng):
+    """Random finite sets, uncut balls and clipped balls at n = 2..5, and a
+    singleton (one candidate row)."""
+    out = [FiniteSet((Forecast([0.3, 0.7]),))]
+    for n in range(2, 6):
+        for _ in range(3):
+            out.append(_random_finite_set(rng, n, max_points=6))
+            center = rng.dirichlet(np.full(n, 4.0))
+            limit = center.min() / np.sqrt((n - 1) / n)
+            out.append(Ball(Forecast(center), limit * rng.uniform(0.2, 0.95)))
+            out.append(Ball(Forecast(center), limit * rng.uniform(1.2, 3.0)))
+    return out
+
+
+class TestBlockedReduction:
+    GRID_K = {2: 200, 3: 30, 4: 12, 5: 8}
+
+    @pytest.mark.parametrize("blocks", ["two_rows", "ragged", "single"])
+    def test_blocked_equals_full_matrix(self, blocks, monkeypatch):
+        # rows per block: the two-row minimum, two blocks of which the second
+        # overlaps the first (len(A) >= 3), or one block of all candidates
+        c = Contract(0.1, FIXED_MARGIN)
+        for theta in _audit_sets(np.random.default_rng(46)):
+            k = self.GRID_K[theta.n]
+            value, strategy, worst, details, num_cand, num_grid = _full_matrix_oracle(theta, c, k)
+            rows = {"two_rows": 2, "ragged": num_cand // 2 + 1, "single": num_cand}[blocks]
+            monkeypatch.setattr(analyzer, "BLOCK_ENTRIES", rows * num_grid)
+            report = oracle_maxmin(theta, c, grid_k=k)
+            assert report.value == value
+            assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, strategy)
+            assert np.array_equal(report.worst_case_truth.probs, worst)
+            assert report.details == details
+
+    def test_memory_is_linear_in_grid(self):
+        c = Contract(0.1, FIXED_MARGIN)
+        tracemalloc.start()
+        try:
+            oracle_maxmin(Ball(Forecast([0.5, 0.5]), 0.6), c, grid_k=3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_threads_keep_their_own_buffers(self):
+        # the block buffers outlive a call; two threads scanning different
+        # balls at once must not write into each other's
+        c = Contract(0.1, FIXED_MARGIN)
+        balls = [Ball(Forecast([0.5, 0.5]), 0.4), Ball(Forecast([0.4, 0.6]), 0.3)] * 4
+        serial = [oracle_maxmin(b, c, grid_k=2000).value for b in balls]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda b: oracle_maxmin(b, c, grid_k=2000).value, balls))
+        assert threaded == serial
 
 
 class TestExactOracleAgreement:
