@@ -22,7 +22,7 @@ from .simplex import (
     grid_enumerate,
     l2_dist_sq,
     project_to_simplex,  # unused; bench/tracing.py rebinds it here
-    sample_simplex_uniform,
+    sample_simplex_uniform,  # unused; bench/tracing.py rebinds it here
 )
 
 MEMBERSHIP_TOL = 1e-9   # boundary tolerance for closed-set membership
@@ -261,29 +261,55 @@ def chebyshev(theta):
     return ChebyshevResult(center, upper, rounds, False)
 
 
-def sample_from(theta, rng):
-    """Draw a forecast from theta uniformly: over a finite set, or over B ∩ Δ
-    for a ball B by rejection from the one of B and Δ with less (n-1)-volume.
-    A point of B is c + r u^(1/(n-1)) d for a Gaussian direction d on the
-    sum-zero plane (Muller 1959). Raises ResolutionTooLarge after
-    MAX_PROPOSALS misses."""
+def sample_from(theta, rng, size=None):
+    """Draw forecasts from theta uniformly: over a finite set, or over B ∩ Δ
+    for a ball B (see _ball_rows). With size=None returns one Forecast; with
+    an int, a (size, n) array of independent draws, each row stored as
+    Forecast stores it."""
+    k = 1 if size is None else size
     if isinstance(theta, FiniteSet):
-        idx = int(rng.integers(len(theta.forecasts)))
-        return theta.forecasts[idx]
-    n, c, r = theta.n, theta.center.probs, theta.radius
+        rows = np.array([f.probs for f in theta.forecasts])
+        out = rows[rng.integers(len(rows), size=k)]
+    else:
+        out = _ball_rows(theta, rng, k)
+    return out if size is not None else Forecast.from_row(out[0])
+
+
+def _ball_rows(ball, rng, k):
+    """k uniform draws from B ∩ Δ by rejection from the one of B and Δ with
+    less (n-1)-volume. Each round proposes one row for every row still
+    empty, as one array (from B: k x n Gaussians, then k uniforms; from Δ:
+    k x n exponentials), and keeps the accepted ones in their rows, so each
+    row is its own rejection sampler (Devroye 1986, II.3). A point of B is
+    c + r u^(1/(n-1)) d for a Gaussian direction d on the sum-zero plane
+    (Muller 1959). Raises ResolutionTooLarge when a row is still empty after
+    MAX_PROPOSALS rounds."""
+    n, c, r = ball.n, ball.center.probs, ball.radius
     from_ball = ((n - 1) * math.log(math.sqrt(math.pi) * r) - math.lgamma((n + 1) / 2)
                  < 0.5 * math.log(n) - math.lgamma(n))  # log vol B < log vol Δ
-    space = StateSpace(tuple(str(i) for i in range(n)))
+    out = np.empty((k, n))
+    empty = np.arange(k)
     for _ in range(MAX_PROPOSALS):
+        m = len(empty)
         if from_ball:
-            g = rng.standard_normal(n)
-            g -= g.mean()
-            x = c + r * rng.random() ** (1.0 / (n - 1)) / np.linalg.norm(g) * g
-            if x.min() >= 0.0:
-                return Forecast(x)
+            g = rng.standard_normal((m, n))
+            g -= g.mean(axis=1, keepdims=True)
+            # np.linalg.norm's bits on each row (batched dot products), and
+            # libm's pow as in Python's `**` (np.power's SIMD loops round
+            # some values differently, depending on the CPU)
+            norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+            x = c + (r * np.float_power(rng.random(m), 1.0 / (n - 1)) / norm)[:, None] * g
+            ok = x.min(axis=1) >= 0.0
         else:
-            f = sample_simplex_uniform(space, rng)
-            if contains(theta, f):
-                return f
+            x = rng.standard_exponential((m, n))
+            x /= x.sum(axis=1, keepdims=True)
+        np.clip(x, 0.0, None, out=x)
+        x /= x.sum(axis=1, keepdims=True)
+        if not from_ball:
+            ok = members(ball, x)
+        out[empty[ok]] = x[ok]
+        empty = empty[~ok]
+        if not len(empty):
+            return out
     raise ResolutionTooLarge(f"ball of radius {r} on {n} states: "
                              f"no uniform draw in {MAX_PROPOSALS} proposals")

@@ -5,8 +5,10 @@ any state is observed); trials are repeated draws of the same one-shot
 game for statistical verification. Trials run in blocks of BLOCK; block b
 draws all of its randomness from its own counter-based stream,
 Philox(key=seed, counter=[0, 0, 0, b]), so results depend only on
-(scenario, seed). Each block's payoff mean and M2 are merged in block
-order with the pairwise update of Chan, Golub & LeVeque (1979).
+(scenario, seed); within a block, each sampling expert's announcements
+are one sample_from call (the layout RNG_LAYOUT names). Each block's
+payoff mean and M2 are merged in block order with the pairwise update of
+Chan, Golub & LeVeque (1979).
 """
 
 import math
@@ -30,7 +32,7 @@ ANNOUNCE_CHEBYSHEV = "chebyshev"
 ANNOUNCE_SAMPLE = "sample"
 
 BLOCK = 4096                   # trials per counter-based stream
-RNG_LAYOUT = "philox-block-v1"
+RNG_LAYOUT = "philox-block-v2"
 
 
 @dataclass(frozen=True)
@@ -194,13 +196,14 @@ def block_payoffs(sc, contracts, decisions):
 
     Block b draws from block_rng(sc.seed, b): first the truths of a uniform
     nature (a (B, n) array of normalized standard exponentials), then B
-    state uniforms, then each `sample` announcement, trial by trial. Both
-    experts announce every trial (a rejecting expert's announcement still
-    defines the rival forecast for the other side); a rejecting expert's
-    payoffs are 0.
+    state uniforms, then each sampling expert's whole block, one
+    sample_from(theta, rng, B) call per expert in expert order. Both experts
+    announce every trial (a rejecting expert's announcement still defines
+    the rival forecast for the other side); a rejecting expert's payoffs
+    are 0.
     """
     n = sc.states.n
-    static = []  # announced rows; None for truth and per-trial samples
+    static = []  # announced rows; None for truth and sampled blocks
     for expert, (_, _, _, center) in zip(sc.experts, decisions):
         if isinstance(expert.announce, Forecast):
             static.append(expert.announce.probs)
@@ -221,11 +224,8 @@ def block_payoffs(sc, contracts, decisions):
         # sample_state's inverse-CDF rule, one trial per row
         states = np.minimum((np.cumsum(truth, axis=-1) <= u[:, None]).sum(axis=1), n - 1)
         rows = [truth if a is None else a for a in static]
-        if sampled:
-            draws = [[sample_from(sc.experts[i].theta, rng).probs for i in sampled]
-                     for _ in range(size)]
-            for k, i in enumerate(sampled):
-                rows[i] = np.array([d[k] for d in draws])
+        for i in sampled:
+            rows[i] = sample_from(sc.experts[i].theta, rng, size)
         at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]
         sq = [np.sum(r * r, axis=-1) for r in rows]
         pay = np.zeros((2, size))

@@ -28,7 +28,7 @@ from .contracts import (
     make_prop1_contract,
     make_prop2_contracts,
 )
-from .plausible import Ball, FiniteSet, chebyshev, diameter_sq
+from .plausible import Ball, FiniteSet, chebyshev, diameter_sq, sample_from
 from .scoring import (
     brier,
     expected_score_closed_form,
@@ -45,6 +45,9 @@ from .simplex import (
     mixed_mean,
     sample_simplex_uniform,
 )
+
+
+CHI2_9_999 = 27.877  # 0.999 quantile of the chi-square law with 9 degrees of freedom
 
 
 def _space(n):
@@ -356,6 +359,26 @@ def check_eq1_reduction(quick):
     return True, f"{count} oracle runs on finite sets and uncut balls, grid k={k}"
 
 
+def check_sampler_uniformity(quick):
+    """For X uniform in an (n-1)-ball, U = (|X-c|^2/r^2)^((n-1)/2) is uniform
+    on [0, 1]: chi-square over 10 bins of U on one block of draws from an
+    uncut ball at each n (every center entry is at least 0.85 / n, more
+    than r * sqrt((n - 1) / n))."""
+    rng = np.random.default_rng(1010)
+    rows = 4096
+    stats = []
+    for n, r in ((3, 0.1), (8, 0.1), (20, 0.03)):
+        ball = Ball(Forecast(0.85 / n + 0.15 * rng.dirichlet(np.ones(n))), r)
+        x = sample_from(ball, rng, rows)
+        u = (dist_sq_rows(x, ball.center.probs) / r**2) ** ((n - 1) / 2)
+        counts = np.bincount(np.minimum((10 * u).astype(int), 9), minlength=10)
+        stats.append(float(np.sum((counts - rows / 10) ** 2) / (rows / 10)))
+        if stats[-1] >= CHI2_9_999:
+            return False, f"n={n}: chi2 {stats[-1]:.2f} >= {CHI2_9_999}"
+    return True, f"{rows}-row blocks at n = 3, 8, 20: chi2 " + ", ".join(
+        f"{c:.2f}" for c in stats)
+
+
 def check_monte_carlo_consistency(quick):
     from .simulation import ExpertSpec, Prop1Config, Scenario, run_tournament
 
@@ -411,6 +434,7 @@ CHECKS = [
     ("prop2-screening", check_prop2_screening),
     ("point-mass-dominance", check_point_mass_dominance),
     ("eq1-reduction-audit", check_eq1_reduction),
+    ("sampler-uniformity", check_sampler_uniformity),
     ("monte-carlo-consistency", check_monte_carlo_consistency),
 ]
 

@@ -289,3 +289,68 @@ class TestSampleFrom:
         draws = 10**4
         hits = sum(sample_from(theta, rng) == Forecast([1, 0]) for _ in range(draws))
         assert abs(hits / draws - 0.5) < 0.02
+
+
+CLIPPED3 = Ball(Forecast([0.7, 0.2, 0.1]), 0.3)   # proposes from B, rejects some
+
+
+def _reference_block(ball, rng, size):
+    """The ball-proposal round rule, one row at a time: each round draws a
+    Gaussian row for every empty row, then one uniform each, and fills the
+    accepted rows in row order. Returns the block and its round count."""
+    n, c, r = ball.n, ball.center.probs, ball.radius
+    out = np.full((size, n), np.nan)
+    empty, rounds = list(range(size)), 0
+    while empty:
+        rounds += 1
+        g = rng.standard_normal((len(empty), n))
+        u = rng.random(len(empty))
+        left = []
+        for j, row, uj in zip(empty, g, u):
+            d = row - row.mean()
+            x = c + r * uj ** (1.0 / (n - 1)) / np.linalg.norm(d) * d
+            if x.min() >= 0.0:
+                out[j] = Forecast(x).probs
+            else:
+                left.append(j)
+        empty = left
+    return out, rounds
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("theta", [
+        FiniteSet((Forecast([0.2, 0.3, 0.5]), Forecast([1, 0, 0]), Forecast([0, 1, 0]))),
+        Ball(Forecast([0.4, 0.35, 0.25]), 0.1),
+        CLIPPED3,
+        Ball(Forecast([1, 0, 0]), 1.0),
+    ], ids=["finite", "uncut", "clipped_from_ball", "from_simplex"])
+    def test_single_draw_is_a_one_row_block(self, theta):
+        rng, rng2 = np.random.default_rng(35), np.random.default_rng(35)
+        for _ in range(100):
+            one = sample_from(theta, rng).probs
+            assert one.tobytes() == sample_from(theta, rng2, 1)[0].tobytes()
+        assert rng.random() == rng2.random()
+
+    @pytest.mark.parametrize("ball", [
+        CLIPPED3,
+        # at n > 3 numpy's vectorized power rounds u^(1/(n-1)) unlike `**`
+        Ball(Forecast([0.5, 0.2, 0.1, 0.1, 0.05, 0.05]), 0.15),
+    ], ids=["n3", "n6"])
+    def test_block_layout_matches_round_rule(self, ball):
+        assert not ball.is_uncut()
+        rng, ref_rng = np.random.default_rng(36), np.random.default_rng(36)
+        block = sample_from(ball, rng, 64)
+        ref, rounds = _reference_block(ball, ref_rng, 64)
+        assert rounds > 1
+        assert block.shape == (64, ball.n) and block.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_clipped_block_rows_are_members(self):
+        block = sample_from(CLIPPED3, np.random.default_rng(37), 4096)
+        assert block.shape == (4096, 3)
+        assert block.min() >= 0.0 and members(CLIPPED3, block).all()
+
+    def test_small_ball_at_a_vertex_raises_for_a_block(self):
+        ball = Ball(Forecast(np.eye(12)[0]), 0.05)
+        with pytest.raises(ResolutionTooLarge, match="12 states"):
+            sample_from(ball, np.random.default_rng(34), 8)

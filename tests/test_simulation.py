@@ -261,12 +261,41 @@ REFERENCE_SCENARIOS = {
         trials=REFERENCE_TRIALS,
         seed=14,
     ),
+    # uniform nature: truth against draws from an uncut ball, both accept
+    "uniform-truth-uncut-ball-sample": Scenario(
+        states=SPACE3,
+        nature="uniform",
+        experts=(
+            ExpertSpec(id="alice", kind="informed"),
+            ExpertSpec(id="bob", kind="uninformed",
+                       theta=Ball(Forecast([0.4, 0.35, 0.25]), 0.1), announce="sample"),
+        ),
+        contract_config=_fixed_margin((E1, E2)),
+        trials=REFERENCE_TRIALS,
+        seed=15,
+    ),
+    # fixed nature: two sampling experts on clipped balls, both accept; the
+    # first proposes from the simplex, the second from its ball, and both
+    # reject proposals that fall outside B ∩ Δ
+    "fixed-clipped-ball-samples": Scenario(
+        states=SPACE3,
+        nature=Forecast([0.5, 0.3, 0.2]),
+        experts=(
+            ExpertSpec(id="u1", kind="uninformed", theta=Ball(E1, 1.0), announce="sample"),
+            ExpertSpec(id="u2", kind="uninformed",
+                       theta=Ball(Forecast([0.7, 0.2, 0.1]), 0.3), announce="sample"),
+        ),
+        contract_config=_fixed_margin((E1, E2)),
+        trials=REFERENCE_TRIALS,
+        seed=16,
+    ),
 }
 
 
 def _scalar_payoffs(sc):
     """Every trial recomputed one at a time with the scalar sample_state and
-    realized_payoff, from the same block streams and draw order."""
+    realized_payoff, from the same block streams and draw order: truths,
+    state uniforms, then one sample_from block per sampling expert."""
     contracts = build_contracts(sc.contract_config)
     accept = [decide_acceptance(e, c)[0] == "accept" for e, c in zip(sc.experts, contracts)]
     centers = [chebyshev(e.theta).center if e.announce == "chebyshev" else None
@@ -281,13 +310,15 @@ def _scalar_payoffs(sc):
         else:
             truths = [sc.nature] * size
         states = [sample_state(truth, rng) for truth in truths]
-        for truth, s in zip(truths, states):
+        samples = [sample_from(e.theta, rng, size) if e.announce == "sample" else None
+                   for e in sc.experts]
+        for t, (truth, s) in enumerate(zip(truths, states)):
             announced = []
-            for e, center in zip(sc.experts, centers):
+            for e, center, drawn in zip(sc.experts, centers, samples):
                 if e.announce == "truth":
                     announced.append(truth)
-                elif e.announce == "sample":
-                    announced.append(sample_from(e.theta, rng))
+                elif drawn is not None:
+                    announced.append(Forecast.from_row(drawn[t]))
                 else:
                     announced.append(e.announce if center is None else center)
             for i in range(2):
