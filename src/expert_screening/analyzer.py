@@ -80,14 +80,13 @@ def uninformed_maxmin(theta, c):
 def _adversary_candidates(theta, grid):
     """Truths available to the oracle adversary, one row each: theta's own
     exact points (witnesses / extremes) plus grid points falling inside
-    theta, keeping the first occurrence of each (deterministic)."""
+    theta. A point may appear twice, which changes neither a column maximum
+    nor the lexsorted worst-truth tie-break."""
     if isinstance(theta, FiniteSet):
         own = np.array([f.probs for f in theta.forecasts])
     else:
         own = _ball_grid(theta)
-    cand = np.vstack([own, grid[members(theta, grid)]])
-    _, first = np.unique(cand, axis=0, return_index=True)
-    return cand[np.sort(first)]
+    return np.vstack([own, grid[members(theta, grid)]])
 
 
 _scratch = threading.local()

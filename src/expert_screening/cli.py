@@ -5,32 +5,30 @@ numeric result carries a method tag (exact | oracle | monte_carlo), and
 warnings appear both in the report and on stderr.
 
 Exit codes: 0 success; 1 invalid input; 2 an uncertified Chebyshev solve
-(its radius bounds still more than plausible.GAP_TOL apart after
-plausible.MAX_ROUNDS rounds; the report is written all the same);
-3 verification failure.
+in analyze, oracle or simulate (its radius bounds still more than
+plausible.GAP_TOL apart after plausible.MAX_ROUNDS rounds; the report is
+written all the same); 3 verification failure.
 """
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
 from .analyzer import (
     ACCEPT,
-    informed_guarantee,
     oracle_maxmin,
-    uninformed_maxmin,
+    uninformed_maxmin,  # unused; bench/tracing.py rebinds it here
 )
 from .contracts import PAPER_EPSILON
 from .errors import ScreeningError
-from .plausible import diameter_sq
 from .scenario import load_scenario
 from .simplex import Forecast
 from .simulation import (
     INFORMED,
     Prop1Config,
     build_contracts,
+    decide_acceptance,
     run_tournament,
 )
 from .verify import run_all
@@ -81,46 +79,49 @@ def _scenario_echo(sc):
     }
 
 
+def _uncertified(expert_id):
+    return f"uncertified chebyshev result for expert '{expert_id}'"
+
+
 def _analyze_experts(sc, contracts):
-    """Per-expert analyzer results plus warning strings."""
+    """Per-expert analyzer results plus warning strings, each entry built
+    from one decide_acceptance call."""
     experts, warnings = [], []
     any_uncertified = False
     for expert, contract in zip(sc.experts, contracts):
-        entry = {"id": expert.id, "kind": expert.kind}
-        entry["margin"] = {"value": contract.margin, "method": "exact"}
-        if expert.kind == INFORMED:
-            value = informed_guarantee(contract)
-            entry["value"] = {"value": value, "method": "exact"}
-            entry["decision"] = ACCEPT if value > 0 else "reject"
-        else:
-            report = uninformed_maxmin(expert.theta, contract)
-            entry["value"] = {"value": report.value, "method": "exact"}
-            entry["decision"] = report.decision
+        decision, value, report = decide_acceptance(expert, contract)
+        entry = {"id": expert.id, "kind": expert.kind, "decision": decision,
+                 "margin": {"value": contract.margin, "method": "exact"},
+                 "value": {"value": value, "method": "exact"}}
+        if report is not None:
+            radius_sq = report.details["chebyshev_radius_sq"]
             entry["chebyshev"] = {
                 "center": _forecast_list(report.optimal_strategy.atoms[0][0]),
-                "radius_sq": report.details["chebyshev_radius_sq"],
+                "radius_sq": radius_sq,
                 "certified": report.certified,
                 "method": "exact",
             }
             entry["worst_case_truth"] = _forecast_list(report.worst_case_truth)
             if not report.certified:
                 any_uncertified = True
-                warnings.append(
-                    f"uncertified chebyshev result for expert '{expert.id}'"
-                )
-            if contract.policy == PAPER_EPSILON and report.decision == ACCEPT:
+                warnings.append(_uncertified(expert.id))
+            if contract.policy == PAPER_EPSILON and decision == ACCEPT:
                 warnings.append(
                     f"expert '{expert.id}' ACCEPTS under the half-witness-distance "
                     f"margin {contract.margin}: the margin exceeds the rejection "
-                    f"threshold diameter_sq/4 = {diameter_sq(expert.theta) / 4.0}; "
+                    f"threshold radius_sq = {radius_sq}; "
                     "the safe policy (witness distance^2 / 8) guarantees rejection"
                 )
         experts.append(entry)
     return experts, warnings, any_uncertified
 
 
-def _emit(report, warnings):
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+def _json(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(out, warnings):
+    sys.stdout.write(out)
     for w in warnings:
         sys.stderr.write(f"warning: {w}\n")
 
@@ -159,7 +160,7 @@ def cmd_report(args):
         "experts": experts,
         "warnings": warnings,
     }
-    _emit(report, warnings)
+    _emit(_json(report), warnings)
     return 2 if uncertified else 0
 
 
@@ -170,18 +171,17 @@ def cmd_simulate(args):
     if args.seed is not None:
         sc = dataclasses.replace(sc, seed=args.seed)
     result = run_tournament(sc)
+    warnings = [_uncertified(e.id) for e in result.experts if not e.analyzer_certified]
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("id,decision,analyzer_value,mean_payoff,stderr,trials,seed\n")
-        for e in result.experts:
-            buf.write(
-                f"{e.id},{e.decision},{e.analyzer_value!r},{e.mean_payoff!r},"
-                f"{e.payoff_stderr!r},{result.trial_count},{result.seed}\n"
-            )
-        sys.stdout.write(buf.getvalue())
+        out = "id,decision,analyzer_value,mean_payoff,stderr,trials,seed\n" + "".join(
+            f"{e.id},{e.decision},{e.analyzer_value!r},{e.mean_payoff!r},"
+            f"{e.payoff_stderr!r},{result.trial_count},{result.seed}\n"
+            for e in result.experts
+        )
     else:
-        _emit({"scenario": _scenario_echo(sc), **result.to_dict()}, warnings=())
-    return 0
+        out = _json({"scenario": _scenario_echo(sc), **result.to_dict()})
+    _emit(out, warnings)
+    return 2 if warnings else 0
 
 
 def cmd_verify(args):

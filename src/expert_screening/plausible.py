@@ -84,18 +84,15 @@ class Ball:
 
 
 def contains(theta, f):
-    """Closed-set membership with boundary tolerance MEMBERSHIP_TOL."""
-    if isinstance(theta, FiniteSet):
-        if theta.n != f.n:
-            raise LengthMismatch("forecast length differs from set's")
-        return any(l2_dist_sq(g, f) <= MEMBERSHIP_TOL**2 for g in theta.forecasts)
+    """Closed-set membership of one forecast: `members` on its one row."""
     if theta.n != f.n:
-        raise LengthMismatch("forecast length differs from ball's")
-    return math.sqrt(l2_dist_sq(theta.center, f)) <= theta.radius + MEMBERSHIP_TOL
+        raise LengthMismatch(f"forecast on {f.n} states, plausible set on {theta.n}")
+    return bool(members(theta, f.probs[None])[0])
 
 
 def members(theta, points):
-    """Membership mask of the rows of `points`: `contains` on each row."""
+    """Membership mask of the rows of `points`, with boundary tolerance
+    MEMBERSHIP_TOL."""
     tol = MEMBERSHIP_TOL
     if isinstance(theta, FiniteSet):
         mask = np.zeros(len(points), dtype=bool)
@@ -105,12 +102,11 @@ def members(theta, points):
     return np.sqrt(dist_sq_rows(points, theta.center.probs)) <= theta.radius + tol
 
 
-@lru_cache(maxsize=64)
 def _ball_grid(ball):
-    """Points of a (cut) ball, one read-only row each: the points of the
-    finest simplex grid with at most BALL_GRID_POINTS points that fall inside
-    it, surface points along coordinate-pair directions that stay on the
-    simplex, and the center."""
+    """Points of a ball, one row each: the points of the finest simplex
+    grid with at most BALL_GRID_POINTS points that fall inside it, surface
+    points along coordinate-pair directions that stay on the simplex, and
+    the center. The oracle's adversary draws its truths from these."""
     n = ball.n
     k = next(k for k in count(1) if math.comb(k + n, n - 1) > BALL_GRID_POINTS)
     grid = grid_enumerate(StateSpace(tuple(str(i) for i in range(n))), k)
@@ -118,10 +114,8 @@ def _ball_grid(ball):
     pairs = (e[:, None] - e[None])[~np.eye(n, dtype=bool)]   # e_i - e_j, i != j
     p = ball.center.probs + ball.radius * pairs / math.sqrt(2.0)
     p = np.clip(p[p.min(axis=1) >= -1e-12], 0.0, None)
-    out = np.vstack([grid[members(ball, grid)], p / p.sum(axis=1, keepdims=True),
-                     ball.center.probs])
-    out.flags.writeable = False
-    return out
+    return np.vstack([grid[members(ball, grid)], p / p.sum(axis=1, keepdims=True),
+                      ball.center.probs])
 
 
 @lru_cache(maxsize=16)
@@ -193,19 +187,18 @@ def farthest_point(theta, point):
 
 
 def diameter_sq(theta):
-    """Maximum squared L2 distance between two points of the set."""
+    """Maximum squared L2 distance between two points of a finite set or an
+    uncut ball; a ball clipped by the simplex raises ValueError."""
     if isinstance(theta, FiniteSet):
         fs = theta.forecasts
         return max(
             (l2_dist_sq(fs[i], fs[j]) for i in range(len(fs)) for j in range(i)),
             default=0.0,
         )
-    if theta.is_uncut():
-        return (2.0 * theta.radius) ** 2
-    arr = _ball_grid(theta)
-    sq = np.sum(arr**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T)
-    return float(d2.max())
+    if not theta.is_uncut():
+        raise ValueError(f"diameter_sq: the ball of radius {theta.radius} around "
+                         f"{theta.center.probs.tolist()} is clipped by the simplex")
+    return (2.0 * theta.radius) ** 2
 
 
 @dataclass(frozen=True)

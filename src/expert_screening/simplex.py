@@ -195,9 +195,9 @@ def grid_enumerate(space, resolution, cap=GRID_CAP):
         dtype=np.intp,
         count=count * (n - 1),
     ).reshape(count, n - 1)
-    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), k + n - 1)])
-    p = (np.diff(edges, axis=1) - 1) / k
-    return p / p.sum(axis=1, keepdims=True)
+    p = (np.diff(bars, axis=1, prepend=-1, append=k + n - 1) - 1) / k
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def project_to_simplex(v):

@@ -166,15 +166,14 @@ def build_contracts(config):
 
 
 def decide_acceptance(expert, contract):
-    """Analyzer decision for one expert: (decision, value, certified,
-    center), where center is the maxmin report's optimal point mass (None
-    for an informed expert)."""
+    """Analyzer decision for one expert: (decision, value, report), where
+    report is the exact MaxminReport of a non-informed expert (None for an
+    informed one, whose guarantee is the margin)."""
     if expert.kind == INFORMED:
         value = informed_guarantee(contract)
-        return (ACCEPT if value > 0 else REJECT), value, True, None
+        return (ACCEPT if value > 0 else REJECT), value, None
     report = uninformed_maxmin(expert.theta, contract)
-    center = report.optimal_strategy.atoms[0][0]
-    return report.decision, report.value, report.certified, center
+    return report.decision, report.value, report
 
 
 def _expected_roles(experts):
@@ -204,11 +203,11 @@ def block_payoffs(sc, contracts, decisions):
     """
     n = sc.states.n
     static = []  # announced rows; None for truth and sampled blocks
-    for expert, (_, _, _, center) in zip(sc.experts, decisions):
+    for expert, (_, _, report) in zip(sc.experts, decisions):
         if isinstance(expert.announce, Forecast):
             static.append(expert.announce.probs)
         elif expert.announce == ANNOUNCE_CHEBYSHEV:
-            static.append(center.probs)
+            static.append(report.optimal_strategy.atoms[0][0].probs)
         else:
             static.append(None)
     sampled = [i for i, e in enumerate(sc.experts) if e.announce == ANNOUNCE_SAMPLE]
@@ -274,7 +273,7 @@ def run_tournament(sc):
             kind=sc.experts[i].kind,
             decision=decisions[i][0],
             analyzer_value=decisions[i][1],
-            analyzer_certified=decisions[i][2],
+            analyzer_certified=decisions[i][2] is None or decisions[i][2].certified,
             mean_payoff=moments[i][0],
             payoff_stderr=stderr[i],
         )

@@ -139,6 +139,32 @@ class TestAnalyze:
         assert report["warnings"] == ["uncertified chebyshev result for expert 'bob'"]
         assert "warning: uncertified chebyshev result" in captured.err
 
+    def test_paper_warning_quotes_chebyshev_radius(self, tmp_path, capsys):
+        # three vertices: r^2 = 2/3 exceeds diameter^2/4 = 1/2 (Jung 1901)
+        e = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        obj = {
+            "states": ["a", "b", "c"],
+            "nature": {"kind": "fixed", "forecast": [0.5, 0.3, 0.2]},
+            "experts": [
+                {"id": "alice", "kind": "informed", "announce": "truth"},
+                {"id": "bob", "kind": "uninformed", "announce": "chebyshev",
+                 "theta": {"kind": "finite", "forecasts": e}},
+            ],
+            "contract": {"kind": "prop1", "policy": "paper", "witnesses": e[:2]},
+            "trials": 10,
+            "seed": 1,
+        }
+        assert main(["analyze", _write(tmp_path, obj)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        bob = report["experts"][1]
+        assert bob["decision"] == "accept"
+        assert bob["margin"]["value"] == 1.0
+        radius_sq = bob["chebyshev"]["radius_sq"]
+        assert radius_sq == pytest.approx(2.0 / 3.0, abs=1e-12)
+        [warning] = report["warnings"]
+        assert f"rejection threshold radius_sq = {radius_sq!r};" in warning
+        assert "= 0.5" not in warning
+
     def test_prop2_values(self, tmp_path, capsys):
         code = main(["analyze", _write(tmp_path, PROP2)])
         assert code == 0
@@ -222,6 +248,22 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "12 states" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_uncertified_chebyshev_exits_2(self, fmt, monkeypatch, capsys):
+        argv = ["simulate", DEMO, "--trials", "100", "--format", fmt]
+        assert main(argv) == 0
+        certified = capsys.readouterr().out
+        solve = analyzer.chebyshev
+
+        def uncertified(theta):
+            return dataclasses.replace(solve(theta), certified=False)
+
+        monkeypatch.setattr(analyzer, "chebyshev", uncertified)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == certified
+        assert captured.err == "warning: uncertified chebyshev result for expert 'bob'\n"
+
     def test_seed_override(self, tmp_path, capsys):
         path = _write(tmp_path, TWO_POINT_SAFE)
         main(["simulate", path, "--seed", "123"])
@@ -293,6 +335,7 @@ def test_bench_tracing_instruments_and_restores(tmp_path):
         assert cli.main(["oracle", _write(tmp_path, PROP2), "--grid-k", "10"]) == 0
     _assert_restored(before)
     assert tracer.stats["analyzer.oracle_maxmin"][0] == 2
+    assert tracer.stats["analyzer.uninformed_maxmin"][0] == 2
 
 
 def test_bench_tracing_records_sampled_tournament():

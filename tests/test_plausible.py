@@ -19,7 +19,7 @@ from expert_screening import (
     sample_simplex_uniform,
     validate_forecast,
 )
-from expert_screening.errors import ResolutionTooLarge
+from expert_screening.errors import LengthMismatch, ResolutionTooLarge
 from expert_screening.plausible import members
 from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
@@ -72,6 +72,41 @@ class TestContains:
         boundary = Forecast([0.5 + 0.1 / math.sqrt(2), 0.5 - 0.1 / math.sqrt(2)])
         assert contains(ball, boundary)
 
+    def test_length_mismatch(self):
+        for theta in (VERTICES, Ball(Forecast([0.5, 0.5]), 0.1)):
+            with pytest.raises(LengthMismatch):
+                contains(theta, Forecast([1, 0, 0]))
+
+    @staticmethod
+    def _near(rng, points, dist, spread):
+        """One row per point at distance dist + U(-spread, spread) from it,
+        along a random direction in the sum-zero plane."""
+        d = rng.standard_normal(points.shape)
+        d -= d.mean(axis=1, keepdims=True)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        t = dist + rng.uniform(-spread, spread, len(points))
+        return points + t[:, None] * d
+
+    def test_matches_members_on_ball_spheres(self):
+        rng = np.random.default_rng(40)
+        for n in range(2, 7):
+            c = np.full(n, 1.0 / n)
+            ball = Ball(Forecast(c), 0.5 / n)
+            rows = self._near(rng, np.tile(c, (500, 1)), ball.radius, 2e-9)
+            mask = members(ball, rows)
+            assert 0 < mask.sum() < len(rows)
+            assert [contains(ball, Forecast.from_row(r)) for r in rows] == mask.tolist()
+
+    def test_matches_members_near_finite_points(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 7):
+            theta = _random_finite_set(rng, n, max_points=4)
+            points = np.array([f.probs for f in theta.forecasts])
+            rows = self._near(rng, points[rng.integers(len(points), size=500)], 1e-9, 1e-9)
+            mask = members(theta, rows)
+            assert 0 < mask.sum() < len(rows)
+            assert [contains(theta, Forecast.from_row(r)) for r in rows] == mask.tolist()
+
 
 class TestDiameterSq:
     def test_vertex_pair(self):
@@ -85,14 +120,10 @@ class TestDiameterSq:
             0.04, abs=1e-12
         )
 
-    def test_cut_ball_against_pair_grid(self):
-        # ball sticking far out of the simplex: diameter limited by the edge
-        ball = Ball(Forecast([0.9, 0.1]), 0.5)
-        d2 = diameter_sq(ball)
-        # the intersection is the segment from (1,0) inward along the edge
-        # with length limited by radius around the center
-        assert d2 <= (2 * ball.radius) ** 2
-        assert d2 > 0.1
+    def test_cut_ball_raises(self):
+        # a ball sticking out of the simplex has no exact diameter here
+        with pytest.raises(ValueError, match="clipped by the simplex"):
+            diameter_sq(Ball(Forecast([0.9, 0.1]), 0.5))
 
 
 class TestChebyshev:
