@@ -115,8 +115,25 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
     the last one ends at len(A) and overlaps its predecessor, which leaves
     the maxima as they are; a one-row product would go to gemv, which
     rounds unlike the full matrix's gemm. Clipping is monotone, so it
-    commutes with the max."""
+    commutes with the max.
+
+    When there is more than one block, the rows are walked farthest first
+    from their centroid m, and the walk stops once
+    out > (rho + |g - m|)^2 + 1e-12 in every column g, where rho is the
+    next unread row's distance from m. Every later row a has
+    ||a - g|| <= |a - m| + |g - m| <= rho + |g - m|, so none can reach the
+    max; the slack covers the gemm formula's rounding (about 1e-15 on the
+    simplex), and |g - m| is taken from the norms with 1e-12 under the
+    root, so it is never below the true distance. Time thus scales with
+    grid points x rows read; every value read is the full walk's, so the
+    result is the same bit for bit."""
     rows = min(len(A), max(2, BLOCK_ENTRIES // len(G)))
+    if rows < len(A):
+        m = A.mean(axis=0)
+        rho = np.sqrt(np.sum((A - m) ** 2, axis=1))
+        order = np.argsort(-rho, kind="stable")
+        A, sq_a, rho = A[order], sq_a[order], rho[order]
+        g_m = np.sqrt(sq_g - 2.0 * (G @ m) + (m @ m + 1e-12))
     d, p = _block_buffers(rows, len(G))
     out = np.full(len(G), -np.inf)
     for start in range(0, len(A), rows):
@@ -126,6 +143,8 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
         p *= 2.0
         d -= p
         np.maximum(out, d.max(axis=0), out=out)
+        if lo + rows < len(A) and np.all(out > (rho[lo + rows] + g_m) ** 2 + 1e-12):
+            break
     return np.clip(out, 0.0, None, out=out)
 
 
@@ -137,9 +156,11 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
     0.1..0.9). For each strategy the adversary picks the worst truth in theta
     with the rival forecasting it; all grid rivals are also scanned to confirm
     that deviating from the truth never helps the adversary. The point-mass
-    scan streams the candidate x grid distances in blocks, so memory is linear
-    in the grid size and time scales with grid points x candidates; the
-    mixture scan builds the full matrix behind its own budget cap.
+    scan streams the candidate x grid distances in blocks, farthest candidates
+    from their centroid first, and stops once a triangle-inequality bound
+    shows that no unread candidate can raise a column's max; so memory is
+    linear in the grid size and time scales with grid points x candidates
+    read. The mixture scan builds the full matrix behind its own budget cap.
     """
     n = theta.n
     space = StateSpace(tuple(str(i) for i in range(n)))

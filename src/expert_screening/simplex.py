@@ -6,7 +6,6 @@ functions are pure; randomness enters only through explicitly passed
 numpy Generators.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -177,9 +176,11 @@ def grid_enumerate(space, resolution, cap=GRID_CAP):
 
     Returns a (C(k + n - 1, n - 1), n) float array, one forecast per row,
     normalized once the way Forecast normalizes; raises ResolutionTooLarge
-    past `cap` before allocating anything. Rows are built by stars and
-    bars: each choice of n - 1 bar positions among k + n - 1 slots gives
-    the counts between consecutive bars.
+    past `cap` before allocating anything. Rows are built from their prefix
+    sums 0 <= s_0 <= ... <= s_{n-2} <= k, one column at a time: each row so
+    far is repeated once for every value from its last sum up to k, which
+    keeps the rows in lexicographic order; the counts are the differences
+    of consecutive sums.
     """
     k = int(resolution)
     if k < 1:
@@ -190,12 +191,15 @@ def grid_enumerate(space, resolution, cap=GRID_CAP):
         raise ResolutionTooLarge(
             f"grid would have {count} points, exceeding cap {cap}"
         )
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(k + n - 1), n - 1)),
-        dtype=np.intp,
-        count=count * (n - 1),
-    ).reshape(count, n - 1)
-    p = (np.diff(bars, axis=1, prepend=-1, append=k + n - 1) - 1) / k
+    s = np.arange(k + 1)[:, None]
+    for _ in range(n - 2):
+        last = s[:, -1]
+        reps = k + 1 - last
+        start = np.cumsum(reps) - reps
+        s = np.repeat(s, reps, axis=0)
+        nxt = np.arange(len(s)) - np.repeat(start - last, reps)
+        s = np.column_stack((s, nxt))
+    p = np.diff(s, axis=1, prepend=0, append=k) / k
     p /= p.sum(axis=1, keepdims=True)
     return p
 

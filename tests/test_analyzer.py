@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     ACCEPT,
@@ -193,6 +195,25 @@ def _audit_sets(rng):
     return out
 
 
+def _full_column_max(A, G):
+    """`_column_max_dist_sq`'s inputs and the column maxima of the whole
+    candidate x grid matrix."""
+    sq_a, sq_g = np.sum(A**2, axis=1), np.sum(G**2, axis=1)
+    D = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
+    return (A, sq_a, G, sq_g), D.max(axis=0)
+
+
+def _random_theta(rng, n, kind):
+    """A finite set of 2..8 forecasts, an uncut ball or a ball clipped by
+    the simplex."""
+    if kind == "finite":
+        return _random_finite_set(rng, n, max_points=8)
+    center = rng.dirichlet(np.full(n, 4.0))
+    limit = center.min() / np.sqrt((n - 1) / n)
+    scale = rng.uniform(0.2, 0.95) if kind == "uncut" else rng.uniform(1.2, 3.0)
+    return Ball(Forecast(center), limit * scale)
+
+
 class TestBlockedReduction:
     GRID_K = {2: 200, 3: 30, 4: 12, 5: 8}
 
@@ -211,6 +232,50 @@ class TestBlockedReduction:
             assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, strategy)
             assert np.array_equal(report.worst_case_truth.probs, worst)
             assert report.details == details
+
+    # the audit's largest ball reads 1 of its 204 blocks of 21 rows; a
+    # finite set at n = 3 whose vertices are farthest from its centroid
+    # reads the 3 blocks holding them (the vertices are also grid points,
+    # so they come twice) out of 13 two-row blocks; a two-point set has one
+    @pytest.mark.parametrize("theta,k,rows,most", [
+        pytest.param(Ball(Forecast([0.5, 0.5]), 0.95 * 0.5 / math.sqrt(0.5)), 3000, None, 2,
+                     id="largest_ball"),
+        pytest.param(FiniteSet(tuple(map(Forecast, np.eye(3))) + tuple(map(
+            Forecast, np.random.default_rng(47).dirichlet(np.full(3, 30.0), 20)))), 30, 2, 3,
+                     id="vertices_first"),
+        pytest.param(FiniteSet((Forecast([0.3, 0.7]), Forecast([0.6, 0.4]))), 3000, None, 1,
+                     id="two_points"),
+    ])
+    def test_walk_stops_early(self, theta, k, rows, most, monkeypatch):
+        G = grid_enumerate(_space(theta.n), k)
+        args, full = _full_column_max(analyzer._adversary_candidates(theta, G), G)
+        if rows:
+            monkeypatch.setattr(analyzer, "BLOCK_ENTRIES", rows * len(G))
+        calls = []
+        matmul = np.matmul
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return matmul(*a, **kw)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        out = analyzer._column_max_dist_sq(*args)
+        monkeypatch.undo()
+        assert 1 <= len(calls) <= most
+        assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), kind=st.sampled_from(["finite", "uncut", "clipped"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_early_exit_equals_full_matrix(self, n, kind, seed):
+        # two-row blocks: the most blocks, and the most bound checks
+        theta = _random_theta(np.random.default_rng(seed), n, kind)
+        G = grid_enumerate(_space(n), {2: 60, 3: 15, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}[n])
+        args, full = _full_column_max(analyzer._adversary_candidates(theta, G), G)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analyzer, "BLOCK_ENTRIES", 2 * len(G))
+            out = analyzer._column_max_dist_sq(*args)
+        assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
 
     def test_memory_is_linear_in_grid(self):
         c = Contract(0.1, FIXED_MARGIN)

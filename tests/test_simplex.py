@@ -175,6 +175,21 @@ def _reference_grid(n, k):
     return np.array(rows)
 
 
+def _combinations_grid(n, k):
+    """Grid by stars and bars: each choice of n - 1 bar positions among
+    k + n - 1 slots, in `itertools.combinations` order, gives the counts
+    between consecutive bars. Fast enough for the oracle's grid sizes."""
+    count = math.comb(k + n - 1, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(k + n - 1), n - 1)),
+        dtype=np.intp,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
+    p = (np.diff(bars, axis=1, prepend=-1, append=k + n - 1) - 1) / k
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 class TestGridEnumerate:
     def test_n2_k2(self):
         assert grid_enumerate(SPACE2, 2).tolist() == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
@@ -201,6 +216,19 @@ class TestGridEnumerate:
         with pytest.raises(ResolutionTooLarge):
             grid_enumerate(space, k, cap=len(ref) - 1)
         assert len(grid_enumerate(space, k, cap=len(ref))) == len(ref)
+
+    # the oracle's grids at n = 2..8 (about 3000 points each), a ball grid's
+    # size (3, 53), and k = 1, whose rows are the vertices
+    @pytest.mark.parametrize(
+        "n,k",
+        [(2, 3000), (3, 76), (4, 25), (5, 14), (6, 10), (7, 8), (8, 7), (3, 53),
+         (2, 1), (3, 1), (8, 1)],
+    )
+    def test_matches_combinations(self, n, k):
+        ref = _combinations_grid(n, k)
+        grid = grid_enumerate(_space(n), k)
+        assert grid.shape == ref.shape
+        assert np.array_equal(grid.view(np.uint64), ref.view(np.uint64))
 
     def test_points_distinct_and_valid(self):
         pts = grid_enumerate(SPACE3, 4)
