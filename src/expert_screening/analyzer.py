@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plausible import FiniteSet, _ball_grid, chebyshev, farthest_point, members
+from .plausible import FiniteSet, _ball_grid, chebyshev, farthest_point, lex_farthest, members
 from .errors import ResolutionTooLarge
 from .simplex import (
     Forecast,
@@ -81,11 +81,8 @@ def _adversary_candidates(theta, grid):
     """Truths available to the oracle adversary, one row each: theta's own
     exact points (witnesses / extremes) plus grid points falling inside
     theta. A point may appear twice, which changes neither a column maximum
-    nor the lexsorted worst-truth tie-break."""
-    if isinstance(theta, FiniteSet):
-        own = np.array([f.probs for f in theta.forecasts])
-    else:
-        own = _ball_grid(theta)
+    nor the lex_farthest worst truth."""
+    own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
     return np.vstack([own, grid[members(theta, grid)]])
 
 
@@ -148,23 +145,25 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
     return np.clip(out, 0.0, None, out=out)
 
 
-def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
+def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     """Brute-force maxmin over grid strategies and adversary truths.
 
     Strategies are point masses on the simplex grid of C(grid_k+n-1, n-1)
-    points, at most `cap` (plus, optionally, two-point mixtures with weights
-    0.1..0.9). For each strategy the adversary picks the worst truth in theta
-    with the rival forecasting it; all grid rivals are also scanned to confirm
-    that deviating from the truth never helps the adversary. The point-mass
-    scan streams the candidate x grid distances in blocks, farthest candidates
-    from their centroid first, and stops once a triangle-inequality bound
-    shows that no unread candidate can raise a column's max; so memory is
-    linear in the grid size and time scales with grid points x candidates
-    read. The mixture scan builds the full matrix behind its own budget cap.
+    points, at most GRID_CAP (plus, optionally, two-point mixtures with
+    weights 0.1..0.9). For each strategy the adversary picks the worst truth
+    in theta with the rival forecasting it; the best point mass's worst truth
+    follows lex_farthest, the tie rule of farthest_point. All grid rivals are
+    also scanned to confirm that deviating from the truth never helps the
+    adversary. The point-mass scan streams the candidate x grid distances in
+    blocks, farthest candidates from their centroid first, and stops once a
+    triangle-inequality bound shows that no unread candidate can raise a
+    column's max; so memory is linear in the grid size and time scales with
+    grid points x candidates read. The mixture scan builds the full matrix
+    behind its own budget cap.
     """
     n = theta.n
     space = StateSpace(tuple(str(i) for i in range(n)))
-    G = grid_enumerate(space, grid_k, cap=cap)       # (num_grid, n)
+    G = grid_enumerate(space, grid_k)                # (num_grid, n)
     A = _adversary_candidates(theta, G)              # (num_cand, n)
     sq_a = np.sum(A**2, axis=1)
     sq_g = np.sum(G**2, axis=1)
@@ -197,19 +196,14 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False, cap=10**6):
         details["best_mixture_value"] = best_mix
         best_value = max(best_value, best_mix)
 
-    # worst truth for the best point mass, lexicographically smallest tie
+    # worst truth for the best point mass
     col = np.clip(sq_a + sq_g[best_j] - 2.0 * (A @ G[best_j : best_j + 1].T)[:, 0], 0.0, None)
-    worst_d = float(col.max())
-    ties = A[col >= worst_d - 1e-12]
-    worst_truth = Forecast.from_row(ties[np.lexsort(ties.T[::-1])[0]])
+    worst_truth = Forecast.from_row(A[lex_farthest(A, col)])
 
     # rival-deviation audit: the minimizing grid rival should coincide with
     # the worst truth (rival = truth is the adversary's best reply)
     diffs = G - worst_truth.probs
-    rival_d = np.sum(diffs**2, axis=1)
-    r_idx = int(np.argmin(rival_d))
-    details["reduction_min_rival_dist_sq"] = float(rival_d[r_idx])
-    d = G[r_idx] - worst_truth.probs
+    d = diffs[int(np.argmin(np.sum(diffs**2, axis=1)))]
     details["reduction_rival_matches_truth_dist_sq"] = float(np.dot(d, d))
 
     return MaxminReport(

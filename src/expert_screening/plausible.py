@@ -7,7 +7,7 @@ the uninformed expert's maxmin acceptance value.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, count
 
@@ -36,9 +36,12 @@ MAX_PROPOSALS = 10**4   # ball sampler: proposals before ResolutionTooLarge
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Finite set of pairwise-distinct forecasts."""
+    """Finite set of pairwise-distinct forecasts. `forecasts` is the public
+    tuple; `points` holds their probs bit for bit as the rows of one
+    read-only (m, n) array, and every numeric consumer reads that."""
 
     forecasts: tuple
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(self.forecasts)
@@ -47,15 +50,17 @@ class FiniteSet:
         n = fs[0].n
         if any(f.n != n for f in fs):
             raise LengthMismatch("forecasts live on different state spaces")
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                if l2_dist_sq(fs[i], fs[j]) <= DISTINCT_TOL**2:
-                    raise ValueError(f"forecasts {i} and {j} are not distinct")
+        pts = np.array([f.probs for f in fs])
+        pts.flags.writeable = False
+        close = np.argwhere(np.triu(dist_sq_rows(pts[:, None], pts) <= DISTINCT_TOL**2, 1))
+        if len(close):
+            raise ValueError(f"forecasts {close[0, 0]} and {close[0, 1]} are not distinct")
         object.__setattr__(self, "forecasts", fs)
+        object.__setattr__(self, "points", pts)
 
     @property
     def n(self):
-        return self.forecasts[0].n
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def n(self):
@@ -96,8 +101,8 @@ def members(theta, points):
     tol = MEMBERSHIP_TOL
     if isinstance(theta, FiniteSet):
         mask = np.zeros(len(points), dtype=bool)
-        for g in theta.forecasts:
-            mask |= dist_sq_rows(points, g.probs) <= tol**2
+        for g in theta.points:  # one row at a time: memory linear in len(points)
+            mask |= dist_sq_rows(points, g) <= tol**2
         return mask
     return np.sqrt(dist_sq_rows(points, theta.center.probs)) <= theta.radius + tol
 
@@ -149,23 +154,29 @@ def _unit(g, fallback):
     return np.where(norm < 1e-15, fallback, g / np.maximum(norm, 1e-300))
 
 
+def lex_farthest(rows, d):
+    """Index of the farthest of `rows`, whose squared distances are d, under
+    the tie rule of farthest_point and the oracle's worst truth: the
+    lexicographically smallest row within 1e-12 of the largest distance."""
+    ties = np.flatnonzero(d >= d.max() - 1e-12)
+    return int(ties[np.lexsort(rows[ties].T[::-1])[0]])
+
+
 def farthest_point(theta, point):
     """Farthest element of theta from `point` (a Forecast), with distance^2.
 
-    Ties on finite sets break to the lexicographically smallest forecast.
-    On a ball B it is exact: a vertex of Δ inside B, or on a face F of Δ the
-    point of the sphere B ∩ aff(F) opposite x (both points on an edge). The
-    full face goes first; its antipode wins if it lies on the simplex.
+    On a finite set it is the forecast of row i = lex_farthest(theta.points,
+    d), whose distance^2 d[i] is within 1e-12 of the largest. On a ball B it
+    is exact: a vertex of Δ inside B, or on a face F of Δ the point of the
+    sphere B ∩ aff(F) opposite x (both points on an edge). The full face
+    goes first; its antipode wins if it lies on the simplex.
     """
+    if theta.n != point.n:
+        raise LengthMismatch(f"forecast on {point.n} states, plausible set on {theta.n}")
     if isinstance(theta, FiniteSet):
-        best, best_d = None, -1.0
-        for g in theta.forecasts:
-            d = l2_dist_sq(g, point)
-            if d > best_d + 1e-12 or (
-                abs(d - best_d) <= 1e-12 and best is not None and g.key() < best.key()
-            ):
-                best, best_d = g, d
-        return best, best_d
+        d = dist_sq_rows(theta.points, point.probs)
+        i = lex_farthest(theta.points, d)
+        return theta.forecasts[i], float(d[i])
     c, x, r = theta.center.probs, point.probs, theta.radius
     delta = c - x
     cand = c + r * _unit(delta - delta.sum() / theta.n, _tie_direction(theta.n))
@@ -190,11 +201,7 @@ def diameter_sq(theta):
     """Maximum squared L2 distance between two points of a finite set or an
     uncut ball; a ball clipped by the simplex raises ValueError."""
     if isinstance(theta, FiniteSet):
-        fs = theta.forecasts
-        return max(
-            (l2_dist_sq(fs[i], fs[j]) for i in range(len(fs)) for j in range(i)),
-            default=0.0,
-        )
+        return float(dist_sq_rows(theta.points[:, None], theta.points).max())
     if not theta.is_uncut():
         raise ValueError(f"diameter_sq: the ball of radius {theta.radius} around "
                          f"{theta.center.probs.tolist()} is clipped by the simplex")
@@ -240,8 +247,8 @@ def chebyshev(theta):
     """
     if isinstance(theta, Ball) and theta.is_uncut():
         return ChebyshevResult(Forecast(theta.center.probs), theta.radius**2, 0, True)
-    first = theta.forecasts[0] if isinstance(theta, FiniteSet) else theta.center
-    support, c, lower = first.probs[None], first.probs, 0.0
+    first = theta.points[0] if isinstance(theta, FiniteSet) else theta.center.probs
+    support, c, lower = first[None], first, 0.0
     for rounds in range(1, MAX_ROUNDS + 1):
         center = Forecast(c)
         far, upper = farthest_point(theta, center)
@@ -261,8 +268,7 @@ def sample_from(theta, rng, size=None):
     Forecast stores it."""
     k = 1 if size is None else size
     if isinstance(theta, FiniteSet):
-        rows = np.array([f.probs for f in theta.forecasts])
-        out = rows[rng.integers(len(rows), size=k)]
+        out = theta.points[rng.integers(len(theta.points), size=k)]
     else:
         out = _ball_rows(theta, rng, k)
     return out if size is not None else Forecast.from_row(out[0])

@@ -55,7 +55,7 @@ class Forecast:
         if np.any(p < -NEG_TOL):
             raise NegativeEntry(f"negative entry {p.min()} in forecast")
         s = float(p.sum())
-        if abs(s - 1.0) > SUM_TOL:
+        if not abs(s - 1.0) <= SUM_TOL:
             raise NotNormalized(f"forecast sums to {s}, not 1")
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
@@ -78,10 +78,6 @@ class Forecast:
     def n(self):
         return self.probs.size
 
-    def key(self):
-        """Tuple view, used for lexicographic ordering and hashing."""
-        return tuple(self.probs.tolist())
-
     def __eq__(self, other):
         if not isinstance(other, Forecast):
             return NotImplemented
@@ -90,7 +86,7 @@ class Forecast:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(tuple(self.probs.tolist()))
 
     def __repr__(self):
         return f"Forecast({self.probs.tolist()})"
@@ -109,7 +105,7 @@ class MixedStrategy:
         n = atoms[0][0].n
         if any(f.n != n for f, _ in atoms):
             raise LengthMismatch("atoms live on different state spaces")
-        if any(w <= 0 for _, w in atoms):
+        if any(not w > 0 for _, w in atoms):
             raise ValueError("atom weights must be positive")
         total = sum(w for _, w in atoms)
         if abs(total - 1.0) > SUM_TOL:
@@ -148,13 +144,14 @@ def l2_dist_sq(f, g):
 
 
 def dist_sq_rows(points, x):
-    """Squared L2 distance from each row of `points` to the vector `x`.
+    """Squared L2 distance from each row of `points` to the vector `x`; the
+    two broadcast, so dist_sq_rows(P[:, None], Q) is the pairwise matrix.
 
     A batched dot product, so each entry has the bits of l2_dist_sq on
     that row; a sum of squares rounds differently.
     """
     d = points - x
-    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
 
 
 def mixed_mean(xi):

@@ -77,10 +77,11 @@ def _random_uncut_ball(rng, n):
                 return ball
 
 
-def _grid_chebyshev_radius_sq(theta_points, space, k):
-    """Independent oracle: min over grid centers of the max squared distance."""
+def _grid_chebyshev_radius_sq(points, space, k):
+    """Independent oracle: min over grid centers of the max squared distance
+    to the rows of `points`."""
     G = grid_enumerate(space, k)
-    return float(np.max([dist_sq_rows(G, p.probs) for p in theta_points], axis=0).min())
+    return float(dist_sq_rows(G[:, None], points).max(axis=1).min())
 
 
 def check_lemma1_identity(quick):
@@ -224,7 +225,7 @@ def check_chebyshev_vs_grid(quick):
         n = int(rng.integers(2, 4))
         theta = _random_finite_set(rng, n, max_points=6)
         res = chebyshev(theta)
-        oracle = _grid_chebyshev_radius_sq(theta.forecasts, _space(n), k)
+        oracle = _grid_chebyshev_radius_sq(theta.points, _space(n), k)
         if abs(res.radius_sq - oracle) > 3.0 / k:
             return False, f"|{res.radius_sq} - {oracle}| > {3.0 / k}"
     return True, f"{count} random finite sets vs grid k={k}"

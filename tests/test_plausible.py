@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     Ball,
@@ -15,6 +16,7 @@ from expert_screening import (
     diameter_sq,
     farthest_point,
     grid_enumerate,
+    l2_dist_sq,
     sample_from,
     sample_simplex_uniform,
     validate_forecast,
@@ -46,8 +48,17 @@ class TestConstruction:
             FiniteSet((Forecast([0.5, 0.5]), Forecast([0.5, 0.5])))
 
     def test_ball_rejects_nonpositive_radius(self):
+        for radius in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Ball(Forecast([0.5, 0.5]), radius)
+
+    def test_points_are_the_forecasts_read_only(self):
+        theta = _random_finite_set(np.random.default_rng(49), 4, max_points=6)
+        assert theta.points.shape == (len(theta.forecasts), 4)
+        for row, f in zip(theta.points, theta.forecasts):
+            assert row.tobytes() == f.probs.tobytes()
         with pytest.raises(ValueError):
-            Ball(Forecast([0.5, 0.5]), 0.0)
+            theta.points[0, 0] = 0.5
 
     def test_uncut_detection(self):
         assert Ball(Forecast([0.5, 0.5]), 0.1).is_uncut()
@@ -76,6 +87,8 @@ class TestContains:
         for theta in (VERTICES, Ball(Forecast([0.5, 0.5]), 0.1)):
             with pytest.raises(LengthMismatch):
                 contains(theta, Forecast([1, 0, 0]))
+            with pytest.raises(LengthMismatch):
+                farthest_point(theta, Forecast([1, 0, 0]))
 
     @staticmethod
     def _near(rng, points, dist, spread):
@@ -101,7 +114,7 @@ class TestContains:
         rng = np.random.default_rng(41)
         for n in range(2, 7):
             theta = _random_finite_set(rng, n, max_points=4)
-            points = np.array([f.probs for f in theta.forecasts])
+            points = theta.points
             rows = self._near(rng, points[rng.integers(len(points), size=500)], 1e-9, 1e-9)
             mask = members(theta, rows)
             assert 0 < mask.sum() < len(rows)
@@ -124,6 +137,36 @@ class TestDiameterSq:
         # a ball sticking out of the simplex has no exact diameter here
         with pytest.raises(ValueError, match="clipped by the simplex"):
             diameter_sq(Ball(Forecast([0.9, 0.1]), 0.5))
+
+
+@st.composite
+def _grid_set_and_point(draw):
+    """A finite set of distinct points of a coarse simplex grid, and a query
+    point on the same grid or at the barycenter, so that exact ties are
+    common."""
+    n = draw(st.integers(2, 5))
+    G = grid_enumerate(_space(n), draw(st.integers(1, 4)))
+    rows = draw(st.lists(st.integers(0, len(G) - 1), min_size=1, max_size=8, unique=True))
+    q = draw(st.integers(-1, len(G) - 1))
+    point = Forecast(np.full(n, 1.0 / n)) if q < 0 else Forecast.from_row(G[q])
+    return FiniteSet(tuple(Forecast.from_row(G[i]) for i in rows)), point
+
+
+class TestFarthestPointFinite:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=_grid_set_and_point())
+    def test_matches_a_scan(self, case):
+        # the largest distance, and the lexicographically smallest forecast
+        # within 1e-12 of it
+        theta, point = case
+        d = [l2_dist_sq(f, point) for f in theta.forecasts]
+        top = max(d)
+        expect = min((f for f, x in zip(theta.forecasts, d) if x >= top - 1e-12),
+                     key=lambda f: tuple(f.probs.tolist()))
+        far, d2 = farthest_point(theta, point)
+        assert far is expect
+        assert d2 == l2_dist_sq(expect, point)
+        assert abs(d2 - top) <= 1e-12
 
 
 class TestChebyshev:
@@ -166,7 +209,7 @@ class TestChebyshev:
         for _ in range(200):
             n = int(rng.integers(2, 9))
             theta = _random_finite_set(rng, n, max_points=8, min_points=1)
-            _, r2 = REFERENCE.meb_support_enumeration([f.probs for f in theta.forecasts])
+            _, r2 = REFERENCE.meb_support_enumeration(theta.points)
             res = chebyshev(theta)
             assert res.certified
             assert abs(res.radius_sq - r2) <= 1e-12

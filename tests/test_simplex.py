@@ -50,8 +50,9 @@ class TestValidateForecast:
         assert f.probs.tolist() == [1.0, 0.0]
 
     def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
-            validate_forecast([0.5, 0.4], SPACE2)
+        for raw in ([0.5, 0.4], [math.nan, 0.5]):
+            with pytest.raises(NotNormalized):
+                validate_forecast(raw, SPACE2)
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
@@ -134,6 +135,8 @@ class TestMixedStrategy:
         f = Forecast([0.5, 0.5])
         with pytest.raises(ValueError):
             MixedStrategy(((f, -0.5), (Forecast([1, 0]), 1.5)))
+        with pytest.raises(ValueError):
+            MixedStrategy(((f, math.nan),))
         with pytest.raises(NotNormalized):
             MixedStrategy(((f, 0.4),))
 
