@@ -16,6 +16,7 @@ from expert_screening.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = GOLDEN.parent.parent / "demos" / "scenarios"
 CLIPPED = str(GOLDEN / "clipped_ball_n3.json")
+UNIFORM = str(GOLDEN / "uniform_n6.json")
 
 RUNS = {}
 for _name in ("prop1_paper", "prop1_safe", "prop2_balls"):
@@ -27,6 +28,12 @@ for _name in ("prop1_paper", "prop1_safe", "prop2_balls"):
 # ball grid behind the oracle
 RUNS["analyze-clipped_ball_n3"] = ["analyze", CLIPPED]
 RUNS["oracle-clipped_ball_n3"] = ["oracle", CLIPPED, "--grid-k", "20"]
+# 9000 trials span two full blocks and a short third one; the n=6 run draws
+# a uniform nature against a fixed announcement from an uncut ball
+for _name in ("prop1_safe", "prop2_balls"):
+    _path = str(DEMOS / f"{_name}.json")
+    RUNS[f"simulate-{_name}-blocks"] = ["simulate", _path, "--trials", "9000"]
+RUNS["simulate-uniform_n6"] = ["simulate", UNIFORM, "--trials", "9000"]
 
 
 def run(argv):
