@@ -6,9 +6,13 @@ game for statistical verification. Trials run in blocks of BLOCK; block b
 draws all of its randomness from its own counter-based stream,
 Philox(key=seed, counter=[0, 0, 0, b]), so results depend only on
 (scenario, seed); within a block, each sampling expert's announcements
-are one sample_from call (the layout RNG_LAYOUT names). Each block's
-payoff mean and M2 are merged in block order with the pairwise update of
-Chan, Golub & LeVeque (1979).
+are one sample_from call (the layout RNG_LAYOUT names). A fixed nature
+draws states by binary search on its CDF; a uniform nature counts, one
+state column at a time, the per-trial CDF entries at or below the
+uniform. With a fixed nature and no sampling expert, a payoff depends
+only on the state, so a block reads a per-state payoff table. Each
+block's payoff mean and M2 are merged in block order with the pairwise
+update of Chan, Golub & LeVeque (1979).
 """
 
 import math
@@ -146,12 +150,39 @@ def block_rng(seed, b):
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, b]))
 
 
+def inverse_cdf(cdf, u):
+    """State indices of the uniforms u under a forecast whose cumulative
+    sums are cdf: the number of entries at or below u, at most n - 1 (a
+    cdf that rounds below 1 leaves u above its last entry)."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
 def sample_state(truth, rng):
-    """Inverse-CDF draw of a state index from a forecast; the blocked
-    tournament applies the same rule to a block of uniforms at once."""
-    u = float(rng.random())
-    cdf = np.cumsum(truth.probs)
-    return int(min(np.searchsorted(cdf, u, side="right"), truth.n - 1))
+    """Inverse-CDF draw of one state index from a forecast."""
+    return int(inverse_cdf(np.cumsum(truth.probs), float(rng.random())))
+
+
+def _uniform_states(truth, u):
+    """inverse_cdf of each row of the (B, n) truths at its own uniform: the
+    CDF is built one column at a time, the sequential sums of np.cumsum, and
+    only its first n - 1 columns are counted, which is the clamp."""
+    cdf = truth[:, 0].copy()
+    states = (cdf <= u).astype(np.intp)
+    for j in range(1, truth.shape[1] - 1):
+        cdf += truth[:, j]
+        states += cdf <= u
+    return states
+
+
+def _payoffs(at, sq, contracts, accept):
+    """Brier-difference payoffs margin + 2(a_i[s] - a_j[s]) - |a_i|^2 +
+    |a_j|^2 from each expert's announced probability of the state (at) and
+    squared norm (sq); 0 for a rejecting expert."""
+    pay = np.zeros((2, len(at[0])))
+    for i in range(2):
+        if accept[i]:
+            pay[i] = 2.0 * (at[i] - at[1 - i]) - sq[i] + sq[1 - i] + contracts[i].margin
+    return pay
 
 
 def build_contracts(config):
@@ -200,6 +231,13 @@ def block_payoffs(sc, contracts, decisions):
     announce every trial (a rejecting expert's announcement still defines
     the rival forecast for the other side); a rejecting expert's payoffs
     are 0.
+
+    States follow sample_state's inverse-CDF rule: by binary search on a
+    fixed nature's CDF, and under a uniform nature by counting each trial's
+    CDF entries at or below its uniform, one state column at a time. When
+    the nature is fixed and nobody samples, every announcement is one row,
+    so a block is the gather of a (2, n) per-state payoff table, built once
+    with the per-trial formula's operations in the same order.
     """
     n = sc.states.n
     static = []  # announced rows; None for truth and sampled blocks
@@ -211,27 +249,31 @@ def block_payoffs(sc, contracts, decisions):
         else:
             static.append(None)
     sampled = [i for i, e in enumerate(sc.experts) if e.announce == ANNOUNCE_SAMPLE]
+    accept = [d[0] == ACCEPT for d in decisions]
+    uniform = sc.nature == "uniform"
+    if not uniform:
+        cdf = np.cumsum(sc.nature.probs)
+        fixed_rows = [sc.nature.probs if a is None else a for a in static]
+        if not sampled:
+            table = _payoffs(fixed_rows, [np.sum(r * r) for r in fixed_rows], contracts, accept)
     for b, start in enumerate(range(0, sc.trials, BLOCK)):
         size = min(BLOCK, sc.trials - start)
         rng = block_rng(sc.seed, b)
-        if sc.nature == "uniform":
+        if uniform:
             truth = rng.standard_exponential((size, n))
             truth /= truth.sum(axis=1, keepdims=True)
+            states = _uniform_states(truth, rng.random(size))
+            rows = [truth if a is None else a for a in static]
         else:
-            truth = sc.nature.probs
-        u = rng.random(size)
-        # sample_state's inverse-CDF rule, one trial per row
-        states = np.minimum((np.cumsum(truth, axis=-1) <= u[:, None]).sum(axis=1), n - 1)
-        rows = [truth if a is None else a for a in static]
+            states = inverse_cdf(cdf, rng.random(size))
+            if not sampled:
+                yield np.take(table, states, axis=1)
+                continue
+            rows = list(fixed_rows)
         for i in sampled:
             rows[i] = sample_from(sc.experts[i].theta, rng, size)
         at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]
-        sq = [np.sum(r * r, axis=-1) for r in rows]
-        pay = np.zeros((2, size))
-        for i in range(2):
-            if decisions[i][0] == ACCEPT:
-                pay[i] = 2.0 * (at[i] - at[1 - i]) - sq[i] + sq[1 - i] + contracts[i].margin
-        yield pay
+        yield _payoffs(at, [np.sum(r * r, axis=-1) for r in rows], contracts, accept)
 
 
 def _merge(count, mean, m2, x):

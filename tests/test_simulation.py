@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     FIXED_MARGIN,
@@ -27,10 +28,12 @@ from expert_screening.errors import InvalidScenario
 from expert_screening.plausible import chebyshev
 from expert_screening.simulation import (
     BLOCK,
+    _uniform_states,
     block_payoffs,
     block_rng,
     build_contracts,
     decide_acceptance,
+    inverse_cdf,
 )
 
 SPACE2 = StateSpace(("up", "down"))
@@ -110,6 +113,24 @@ class TestSampleState:
             sample_state(Forecast([0.5, 0.5]), rng) == 0 for _ in range(draws)
         )
         assert 0.48 <= hits / draws <= 0.52
+
+
+class TestInverseCdf:
+    def test_edge_uniforms(self):
+        # u equal to a CDF entry draws the next state (side="right"), and a
+        # zero-probability state is never drawn
+        cdf = np.cumsum([0.25, 0.25, 0.0, 0.5])
+        u = np.array([0.0, 0.25, 0.3, 0.5, 0.75])
+        assert inverse_cdf(cdf, u).tolist() == [0, 1, 1, 3, 3]
+        # a CDF that rounds below 1 leaves room above its last entry, which
+        # is clamped to the last state
+        probs = np.full(10, 0.1)
+        cdf = np.cumsum(probs)
+        assert cdf[-1] < 1.0
+        u = np.array([cdf[0], cdf[8], np.nextafter(cdf[-1], 1.0)])
+        assert inverse_cdf(cdf, u).tolist() == [1, 9, 9]
+        # a uniform nature's column counts give the same states row by row
+        assert _uniform_states(np.tile(probs, (3, 1)), u).tolist() == [1, 9, 9]
 
 
 class TestRunTournament:
@@ -399,3 +420,89 @@ class TestBlockedTournament:
         uninformed = [e.theta for e in sc.experts if e.kind != "informed"]
         assert len(solved) == len(uninformed)
         assert all(sum(t is theta for t in solved) == 1 for theta in uninformed)
+
+
+def _reference_block_payoffs(sc, contracts, decisions):
+    """The per-trial formula block_payoffs replaced, kept as its reference:
+    every state by a count over the (B, n) cumsum, every payoff recomputed
+    from the announced rows."""
+    n = sc.states.n
+    static = []
+    for expert, (_, _, report) in zip(sc.experts, decisions):
+        if isinstance(expert.announce, Forecast):
+            static.append(expert.announce.probs)
+        elif expert.announce == "chebyshev":
+            static.append(report.optimal_strategy.atoms[0][0].probs)
+        else:
+            static.append(None)
+    sampled = [i for i, e in enumerate(sc.experts) if e.announce == "sample"]
+    for b, start in enumerate(range(0, sc.trials, BLOCK)):
+        size = min(BLOCK, sc.trials - start)
+        rng = block_rng(sc.seed, b)
+        if sc.nature == "uniform":
+            truth = rng.standard_exponential((size, n))
+            truth /= truth.sum(axis=1, keepdims=True)
+        else:
+            truth = sc.nature.probs
+        u = rng.random(size)
+        states = np.minimum((np.cumsum(truth, axis=-1) <= u[:, None]).sum(axis=1), n - 1)
+        rows = [truth if a is None else a for a in static]
+        for i in sampled:
+            rows[i] = sample_from(sc.experts[i].theta, rng, size)
+        at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]
+        sq = [np.sum(r * r, axis=-1) for r in rows]
+        pay = np.zeros((2, size))
+        for i in range(2):
+            if decisions[i][0] == "accept":
+                pay[i] = 2.0 * (at[i] - at[1 - i]) - sq[i] + sq[1 - i] + contracts[i].margin
+        yield pay
+
+
+@st.composite
+def _kernel_scenario(draw):
+    """Scenarios at n = 2..10 under a fixed (sometimes zero-entry) or uniform
+    nature, with truth, chebyshev, fixed or sample announcements from small
+    finite sets or uncut balls, margins that make either expert accept or
+    reject, and trial counts around multiples of BLOCK."""
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = StateSpace(tuple(f"s{k}" for k in range(n)))
+
+    def forecast(zero=False):
+        p = rng.dirichlet(np.ones(n))
+        if zero:
+            p[rng.integers(n)] = 0.0
+        return Forecast(p / p.sum())
+
+    nature = "uniform" if draw(st.booleans()) else forecast(draw(st.booleans()))
+    experts = []
+    for k in range(2):
+        announce = draw(st.sampled_from(["truth", "chebyshev", "fixed", "sample"]))
+        if announce == "truth":
+            experts.append(ExpertSpec(id=f"e{k}", kind="informed"))
+            continue
+        if draw(st.booleans()):
+            theta = FiniteSet(tuple(forecast() for _ in range(draw(st.integers(1, 3)))))
+        else:
+            center = Forecast(0.5 / n + 0.5 * rng.dirichlet(np.ones(n)))
+            theta = Ball(center, draw(st.sampled_from([0.01, 0.04])))
+        experts.append(ExpertSpec(id=f"e{k}", kind="uninformed", theta=theta,
+                                  announce=forecast(True) if announce == "fixed" else announce))
+    trials = draw(st.sampled_from([1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    margin = draw(st.sampled_from([-0.1, 0.0015, 0.3, 2.0]))
+    e1, e2 = (Forecast(np.eye(n)[k]) for k in range(2))
+    return Scenario(states=space, nature=nature, experts=tuple(experts),
+                    contract_config=_fixed_margin((e1, e2), margin),
+                    trials=trials, seed=draw(st.integers(0, 2**64)))
+
+
+class TestPayoffKernel:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(sc=_kernel_scenario())
+    def test_matches_per_trial_formula_bit_for_bit(self, sc):
+        contracts = build_contracts(sc.contract_config)
+        decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
+        new = list(block_payoffs(sc, contracts, decisions))
+        ref = list(_reference_block_payoffs(sc, contracts, decisions))
+        assert len(new) == len(ref)
+        assert all(np.array_equal(x, y) for x, y in zip(new, ref))
