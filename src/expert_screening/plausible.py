@@ -27,6 +27,7 @@ from .simplex import (
 
 MEMBERSHIP_TOL = 1e-9   # boundary tolerance for closed-set membership
 DISTINCT_TOL = 1e-9     # minimum pairwise L2 distance in a finite set
+DISTINCT_BLOCK_ENTRIES = 2**16  # distinctness check: row pair x state entries per block
 GAP_TOL = 1e-12         # certified: upper - lower bound on radius^2 within this
 MAX_ROUNDS = 100        # core-set rounds before chebyshev gives up uncertified
 BALL_GRID_POINTS = 1500  # simplex grid size behind _ball_grid
@@ -52,9 +53,15 @@ class FiniteSet:
             raise LengthMismatch("forecasts live on different state spaces")
         pts = np.array([f.probs for f in fs])
         pts.flags.writeable = False
-        close = np.argwhere(np.triu(dist_sq_rows(pts[:, None], pts) <= DISTINCT_TOL**2, 1))
-        if len(close):
-            raise ValueError(f"forecasts {close[0, 0]} and {close[0, 1]} are not distinct")
+        m = len(pts)
+        step = max(1, DISTINCT_BLOCK_ENTRIES // (m * n))
+        for lo in range(0, m, step):
+            # pairs (i, j > i) for rows i of this block, first i then first j
+            d = dist_sq_rows(pts[lo:lo + step, None], pts[lo + 1:])
+            close = np.argwhere(np.triu(d <= DISTINCT_TOL**2))
+            if len(close):
+                i, j = lo + close[0, 0], lo + 1 + close[0, 1]
+                raise ValueError(f"forecasts {i} and {j} are not distinct")
         object.__setattr__(self, "forecasts", fs)
         object.__setattr__(self, "points", pts)
 
@@ -158,7 +165,11 @@ def lex_farthest(rows, d):
     """Index of the farthest of `rows`, whose squared distances are d, under
     the tie rule of farthest_point and the oracle's worst truth: the
     lexicographically smallest row within 1e-12 of the largest distance."""
-    ties = np.flatnonzero(d >= d.max() - 1e-12)
+    i = int(np.argmax(d))
+    near = d >= d[i] - 1e-12
+    if np.count_nonzero(near) == 1:
+        return i
+    ties = np.flatnonzero(near)
     return int(ties[np.lexsort(rows[ties].T[::-1])[0]])
 
 

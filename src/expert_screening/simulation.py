@@ -252,10 +252,11 @@ def block_payoffs(sc, contracts, decisions):
     accept = [d[0] == ACCEPT for d in decisions]
     uniform = sc.nature == "uniform"
     if not uniform:
-        cdf = np.cumsum(sc.nature.probs)
-        fixed_rows = [sc.nature.probs if a is None else a for a in static]
+        truth = sc.nature.probs
+        cdf = np.cumsum(truth)
         if not sampled:
-            table = _payoffs(fixed_rows, [np.sum(r * r) for r in fixed_rows], contracts, accept)
+            rows = [truth if a is None else a for a in static]
+            table = _payoffs(rows, [np.sum(r * r) for r in rows], contracts, accept)
     for b, start in enumerate(range(0, sc.trials, BLOCK)):
         size = min(BLOCK, sc.trials - start)
         rng = block_rng(sc.seed, b)
@@ -263,13 +264,12 @@ def block_payoffs(sc, contracts, decisions):
             truth = rng.standard_exponential((size, n))
             truth /= truth.sum(axis=1, keepdims=True)
             states = _uniform_states(truth, rng.random(size))
-            rows = [truth if a is None else a for a in static]
         else:
             states = inverse_cdf(cdf, rng.random(size))
             if not sampled:
                 yield np.take(table, states, axis=1)
                 continue
-            rows = list(fixed_rows)
+        rows = [truth if a is None else a for a in static]
         for i in sampled:
             rows[i] = sample_from(sc.experts[i].theta, rng, size)
         at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,31 @@ class TestConstruction:
     def test_finite_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
             FiniteSet((Forecast([0.5, 0.5]), Forecast([0.5, 0.5])))
+
+    def test_duplicate_check_names_the_first_pair_in_small_memory(self):
+        rng = np.random.default_rng(53)
+        rows = rng.dirichlet(np.ones(10), size=1500)
+        forecasts = [Forecast(r) for r in rows]
+        tracemalloc.start()
+        try:
+            FiniteSet(tuple(forecasts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an (m, m, n) temporary would take 180 MB
+        assert peak < 5e6
+        # the reported pair is the first i, then the first j > i: (30, 1499)
+        # comes before any pair of row 701, and without it 701's copy at 1200
+        # comes before its near copy (within DISTINCT_TOL) at 1400
+        near = rows[701] + 1e-10 * np.eye(10)[0] - 1e-10 * np.eye(10)[1]
+        forecasts[1200] = forecasts[701]
+        forecasts[1400] = Forecast(near)
+        forecasts[1499] = forecasts[30]
+        with pytest.raises(ValueError, match=r"^forecasts 30 and 1499 are not distinct$"):
+            FiniteSet(tuple(forecasts))
+        forecasts[1499] = Forecast(rows[1499])
+        with pytest.raises(ValueError, match=r"^forecasts 701 and 1200 are not distinct$"):
+            FiniteSet(tuple(forecasts))
 
     def test_ball_rejects_nonpositive_radius(self):
         for radius in (0.0, math.nan, math.inf):
