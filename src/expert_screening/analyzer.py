@@ -5,8 +5,10 @@ The exact path is the product; the oracle is the auditor. Both return the
 same report type so callers can diff them.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .simplex import (
 
 ACCEPT = "accept"
 REJECT = "reject"
-BLOCK_ENTRIES = 2**16   # oracle: candidate x grid entries per reduction block
+BLOCK_ENTRIES = 2**16   # oracle: candidate x grid entries per reduction block,
+                        # and the largest cached strategy grid
 
 
 @dataclass
@@ -84,6 +87,29 @@ def _adversary_candidates(theta, grid):
     nor the lex_farthest worst truth."""
     own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
     return np.vstack([own, grid[members(theta, grid)]])
+
+
+def _build_grid(n, k):
+    """The simplex grid at resolution k on n states and its rows' squared
+    norms, both read-only: (G, sq_g)."""
+    G = grid_enumerate(StateSpace(tuple(str(i) for i in range(n))), k)
+    sq_g = np.sum(G**2, axis=1)
+    G.flags.writeable = sq_g.flags.writeable = False
+    return G, sq_g
+
+
+_cached_grid = lru_cache(maxsize=16)(_build_grid)
+
+
+def _grid(n, k):
+    """`_build_grid(n, k)`. A grid of at most BLOCK_ENTRIES entries (512 KiB)
+    is built once per process and then shared, by threads too; a larger one
+    is built for the call and not kept, and one past GRID_CAP raises
+    ResolutionTooLarge before anything is allocated."""
+    k = int(k)
+    if k >= 1 and math.comb(k + n - 1, n - 1) * n <= BLOCK_ENTRIES:
+        return _cached_grid(n, k)
+    return _build_grid(n, k)
 
 
 _scratch = threading.local()
@@ -159,14 +185,14 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     triangle-inequality bound shows that no unread candidate can raise a
     column's max; so memory is linear in the grid size and time scales with
     grid points x candidates read. The mixture scan builds the full matrix
-    behind its own budget cap.
+    behind its own budget cap. The grid G and its squared norms come from
+    `_grid`, which keeps each grid of up to BLOCK_ENTRIES entries read-only
+    for the rest of the process, so repeated calls at one (n, grid_k) build
+    it once.
     """
-    n = theta.n
-    space = StateSpace(tuple(str(i) for i in range(n)))
-    G = grid_enumerate(space, grid_k)                # (num_grid, n)
+    G, sq_g = _grid(theta.n, grid_k)                 # (num_grid, n), (num_grid,)
     A = _adversary_candidates(theta, G)              # (num_cand, n)
     sq_a = np.sum(A**2, axis=1)
-    sq_g = np.sum(G**2, axis=1)
 
     worst_per_pm = _column_max_dist_sq(A, sq_a, G, sq_g)  # worst-case loss per point mass
     pm_values = c.margin - worst_per_pm

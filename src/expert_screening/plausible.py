@@ -114,16 +114,26 @@ def members(theta, points):
     return np.sqrt(dist_sq_rows(points, theta.center.probs)) <= theta.radius + tol
 
 
-def _ball_grid(ball):
-    """Points of a ball, one row each: the points of the finest simplex
-    grid with at most BALL_GRID_POINTS points that fall inside it, surface
-    points along coordinate-pair directions that stay on the simplex, and
-    the center. The oracle's adversary draws its truths from these."""
-    n = ball.n
+@lru_cache(maxsize=16)
+def _ball_simplex(n):
+    """The finest simplex grid on n states with at most BALL_GRID_POINTS
+    points, and the coordinate-pair differences e_i - e_j (i != j) as rows;
+    both depend only on n, so they are built once and kept read-only."""
     k = next(k for k in count(1) if math.comb(k + n, n - 1) > BALL_GRID_POINTS)
     grid = grid_enumerate(StateSpace(tuple(str(i) for i in range(n))), k)
     e = np.eye(n)
-    pairs = (e[:, None] - e[None])[~np.eye(n, dtype=bool)]   # e_i - e_j, i != j
+    pairs = (e[:, None] - e[None])[~np.eye(n, dtype=bool)]
+    grid.flags.writeable = pairs.flags.writeable = False
+    return grid, pairs
+
+
+def _ball_grid(ball):
+    """Points of a ball, one row each: the points of the cached grid of
+    `_ball_simplex` that fall inside it, surface points along the
+    coordinate-pair directions (e_i - e_j) / sqrt(2) that stay on the
+    simplex, and the center. The oracle's adversary draws its truths from
+    these."""
+    grid, pairs = _ball_simplex(ball.n)
     p = ball.center.probs + ball.radius * pairs / math.sqrt(2.0)
     p = np.clip(p[p.min(axis=1) >= -1e-12], 0.0, None)
     return np.vstack([grid[members(ball, grid)], p / p.sum(axis=1, keepdims=True),

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -305,6 +306,77 @@ class TestBlockedReduction:
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda b: oracle_maxmin(b, c, grid_k=2000).value, balls))
         assert threaded == serial
+
+
+class TestGridCache:
+    # (n, k) pairs of the audit mix and of the tests above, all within
+    # BLOCK_ENTRIES entries
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 3000), (3, 20), (3, 76), (5, 14), (8, 7)])
+    def test_is_the_enumerated_grid_read_only(self, n, k):
+        G, sq_g = analyzer._grid(n, k)
+        ref = grid_enumerate(_space(n), k)
+        assert np.array_equal(G, ref)
+        assert np.array_equal(sq_g, np.sum(ref**2, axis=1))
+        assert analyzer._grid(n, k)[0] is G
+        for a in (G, sq_g):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    @staticmethod
+    def _builds(monkeypatch):
+        """The (n, k) of every grid the oracle enumerates from now on, with
+        the cache emptied."""
+        calls = []
+        enumerate_grid = analyzer.grid_enumerate
+
+        def counting(space, k, *a, **kw):
+            calls.append((space.n, k))
+            return enumerate_grid(space, k, *a, **kw)
+
+        monkeypatch.setattr(analyzer, "grid_enumerate", counting)
+        analyzer._cached_grid.cache_clear()
+        return calls
+
+    def test_one_build_per_grid(self, monkeypatch):
+        calls = self._builds(monkeypatch)
+        c = Contract(0.1, FIXED_MARGIN)
+        theta = FiniteSet((Forecast([0.5, 0.3, 0.2]), Forecast([0.2, 0.3, 0.5])))
+        first = oracle_maxmin(theta, c, grid_k=20)
+        second = oracle_maxmin(theta, c, grid_k=20)
+        assert calls == [(3, 20)]
+        assert second.value == first.value and second.details == first.details
+        oracle_maxmin(theta, c, grid_k=21)
+        assert calls == [(3, 20), (3, 21)]
+
+    def test_large_grid_is_built_per_call_and_not_kept(self, monkeypatch):
+        # C(53, 3) = 23 426 points x 4 states = 93 704 entries > BLOCK_ENTRIES
+        calls = self._builds(monkeypatch)
+        c = Contract(0.1, FIXED_MARGIN)
+        theta = FiniteSet((Forecast([0.4, 0.3, 0.2, 0.1]), Forecast([0.1, 0.2, 0.3, 0.4])))
+        oracle_maxmin(theta, c, grid_k=50)
+        oracle_maxmin(theta, c, grid_k=50)
+        assert calls == [(4, 50), (4, 50)]
+        assert analyzer._cached_grid.cache_info().currsize == 0
+        G, sq_g = analyzer._grid(4, 50)
+        assert not G.flags.writeable and not sq_g.flags.writeable
+
+    def test_threads_fill_one_cache(self):
+        # four threads, switching often, all missing the cache at once
+        sizes = [(n, k) for n in (2, 3, 4) for k in (5, 6, 7)] * 4
+        analyzer._cached_grid.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(analyzer._grid, n, k) for n, k in sizes]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (n, k), (G, sq_g) in zip(sizes, results):
+            assert np.array_equal(G, grid_enumerate(_space(n), k))
+            assert np.array_equal(sq_g, np.sum(G**2, axis=1))
+            assert not G.flags.writeable and not sq_g.flags.writeable
+        assert analyzer._cached_grid.cache_info().currsize == 9
 
 
 class TestExactOracleAgreement:

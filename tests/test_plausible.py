@@ -23,7 +23,8 @@ from expert_screening import (
     validate_forecast,
 )
 from expert_screening.errors import LengthMismatch, ResolutionTooLarge
-from expert_screening.plausible import members
+from expert_screening import plausible
+from expert_screening.plausible import BALL_GRID_POINTS, _ball_grid, _ball_simplex, members
 from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
 
@@ -302,6 +303,34 @@ class TestClippedBall:
             assert contains(ball, far)
             gap = math.sqrt(float(np.sum((ball.center.probs - x.probs) ** 2)))
             assert d2 == pytest.approx((gap + ball.radius) ** 2, abs=1e-12)
+
+
+class TestBallGrid:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_cached_grid_and_pairs_read_only(self, n):
+        grid, pairs = _ball_simplex(n)
+        k = next(k for k in range(1, 2000) if math.comb(k + n, n - 1) > BALL_GRID_POINTS)
+        assert np.array_equal(grid, grid_enumerate(_space(n), k))
+        e = np.eye(n)
+        assert np.array_equal(pairs, [e[i] - e[j] for i in range(n) for j in range(n) if i != j])
+        assert _ball_simplex(n)[0] is grid
+        for a in (grid, pairs):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    def test_one_build_per_n(self, monkeypatch):
+        calls = []
+        enumerate_grid = plausible.grid_enumerate
+
+        def counting(space, k, *a, **kw):
+            calls.append(space.n)
+            return enumerate_grid(space, k, *a, **kw)
+
+        monkeypatch.setattr(plausible, "grid_enumerate", counting)
+        _ball_simplex.cache_clear()
+        for center, r in (([0.3, 0.3, 0.4], 0.1), ([0.5, 0.2, 0.3], 0.3), ([0.4, 0.6], 0.2)):
+            _ball_grid(Ball(Forecast(center), r))
+        assert calls == [3, 2]
 
 
 class TestSampleFrom:
