@@ -12,7 +12,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .plausible import FiniteSet, _ball_grid, chebyshev, farthest_point, lex_farthest, members
+from .plausible import (
+    MEMBERSHIP_TOL,
+    FiniteSet,
+    _ball_grid,
+    chebyshev,
+    farthest_point,
+    lex_farthest,
+    members,
+)
 from .errors import ResolutionTooLarge
 from .simplex import (
     Forecast,
@@ -26,6 +34,8 @@ ACCEPT = "accept"
 REJECT = "reject"
 BLOCK_ENTRIES = 2**16   # oracle: candidate x grid entries per reduction block,
                         # and the largest cached strategy grid
+NORM_SLACK = 1e-12      # oracle: bound on the rounding of a squared distance taken
+                        # from the norms, |g|^2 - 2 g.x + |x|^2 (about 1e-15 here)
 
 
 @dataclass
@@ -80,13 +90,33 @@ def uninformed_maxmin(theta, c):
     )
 
 
-def _adversary_candidates(theta, grid):
+def _grid_members(theta, G, sq_g):
+    """`members(theta, G)`, bit for bit, from the grid's squared norms sq_g.
+    The squared distance of each row g to a ball's center, or to the
+    nearest forecast of a finite set, is taken as |g|^2 - 2 g.x + |x|^2,
+    one gemv per center or forecast, and compared with (r +
+    MEMBERSHIP_TOL)^2 or MEMBERSHIP_TOL^2; the rows within NORM_SLACK of
+    that threshold, and only they, are decided again by `members`."""
+    if isinstance(theta, FiniteSet):
+        X, t = theta.points, MEMBERSHIP_TOL**2
+    else:
+        X, t = theta.center.probs[None], (theta.radius + MEMBERSHIP_TOL) ** 2
+    d = sq_g - 2.0 * (G @ X[0]) + X[0] @ X[0]
+    for x in X[1:]:
+        np.minimum(d, sq_g - 2.0 * (G @ x) + x @ x, out=d)
+    mask = d < t - NORM_SLACK
+    near = np.flatnonzero(np.abs(d - t) <= NORM_SLACK)
+    mask[near] = members(theta, G[near])
+    return mask
+
+
+def _adversary_candidates(theta, G, sq_g):
     """Truths available to the oracle adversary, one row each: theta's own
-    exact points (witnesses / extremes) plus grid points falling inside
-    theta. A point may appear twice, which changes neither a column maximum
-    nor the lex_farthest worst truth."""
+    exact points (witnesses / extremes) plus the rows of the grid G (squared
+    norms sq_g) that fall inside theta. A point may appear twice, which
+    changes neither a column maximum nor the lex_farthest worst truth."""
     own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
-    return np.vstack([own, grid[members(theta, grid)]])
+    return np.vstack([own, G[_grid_members(theta, G, sq_g)]])
 
 
 def _build_grid(n, k):
@@ -132,31 +162,17 @@ def _block_buffers(rows, cols):
 
 def _column_max_dist_sq(A, sq_a, G, sq_g):
     """max over the rows a of A of ||a - g||^2 for each row g of G, clipped
-    at 0; sq_a, sq_g are the rows' squared norms. Walks A in blocks of
-    BLOCK_ENTRIES // len(G) rows, at least 2, through the two buffers of
-    `_block_buffers`, so memory is linear in len(G). Every block is full:
-    the last one ends at len(A) and overlaps its predecessor, which leaves
-    the maxima as they are; a one-row product would go to gemv, which
+    at 0; sq_a, sq_g are the rows' squared norms. Walks every row of A in
+    blocks of BLOCK_ENTRIES // len(G) rows, at least 2, through the two
+    buffers of `_block_buffers`, so memory is linear in len(G). Every block
+    is full: the last one ends at len(A) and overlaps its predecessor, which
+    leaves the maxima as they are; a one-row product would go to gemv, which
     rounds unlike the full matrix's gemm. Clipping is monotone, so it
-    commutes with the max.
-
-    When there is more than one block, the rows are walked farthest first
-    from their centroid m, and the walk stops once
-    out > (rho + |g - m|)^2 + 1e-12 in every column g, where rho is the
-    next unread row's distance from m. Every later row a has
-    ||a - g|| <= |a - m| + |g - m| <= rho + |g - m|, so none can reach the
-    max; the slack covers the gemm formula's rounding (about 1e-15 on the
-    simplex), and |g - m| is taken from the norms with 1e-12 under the
-    root, so it is never below the true distance. Time thus scales with
-    grid points x rows read; every value read is the full walk's, so the
-    result is the same bit for bit."""
+    commutes with the max. Columns do not interact: a product of two or more
+    of them (gemm) gives each column the bits it has in the full matrix, so
+    the walk may run on any such subset of G's rows, as `_winning_columns`
+    has it do."""
     rows = min(len(A), max(2, BLOCK_ENTRIES // len(G)))
-    if rows < len(A):
-        m = A.mean(axis=0)
-        rho = np.sqrt(np.sum((A - m) ** 2, axis=1))
-        order = np.argsort(-rho, kind="stable")
-        A, sq_a, rho = A[order], sq_a[order], rho[order]
-        g_m = np.sqrt(sq_g - 2.0 * (G @ m) + (m @ m + 1e-12))
     d, p = _block_buffers(rows, len(G))
     out = np.full(len(G), -np.inf)
     for start in range(0, len(A), rows):
@@ -166,9 +182,36 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
         p *= 2.0
         d -= p
         np.maximum(out, d.max(axis=0), out=out)
-        if lo + rows < len(A) and np.all(out > (rho[lo + rows] + g_m) ** 2 + 1e-12):
-            break
     return np.clip(out, 0.0, None, out=out)
+
+
+def _winning_columns(A, sq_a, G, sq_g):
+    """Ascending indices of the rows of G that can hold the first minimum of
+    f = _column_max_dist_sq(A, sq_a, G, sq_g), at least two of them; None
+    (every row) when A has at most 2n rows.
+
+    The 2n candidates P farthest from the candidates' centroid give a lower
+    bound LB(g) = max over P of ||p - g||^2 <= f(g), the column-side bound
+    of Hamerly's k-means. f* = min f over the two columns of smallest LB is
+    at least the minimum f_best, so every column with f <= f_best +
+    NORM_SLACK has LB <= f* + NORM_SLACK and is kept; a column left out has
+    f > f_best + NORM_SLACK and cannot tie margin - f_best after the
+    subtraction. Two columns at least, because a one-column product goes to
+    gemv and rounds unlike gemm. The pivots come from the candidates alone,
+    never from the exact path's Chebyshev center."""
+    n = A.shape[1]
+    if len(A) <= 2 * n or len(G) <= 2:
+        return None
+    rho = np.sum((A - A.mean(axis=0)) ** 2, axis=1)
+    P = np.argsort(-rho, kind="stable")[: 2 * n]
+    lb = _column_max_dist_sq(A[P], sq_a[P], G, sq_g)
+    first = int(np.argmin(lb))
+    lb_first, lb[first] = lb[first], np.inf
+    two = np.array(sorted((first, int(np.argmin(lb)))))
+    lb[first] = lb_first
+    f_star = _column_max_dist_sq(A, sq_a, G[two], sq_g[two]).min()
+    keep = np.flatnonzero(lb <= f_star + NORM_SLACK)
+    return keep if len(keep) >= 2 else two
 
 
 def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
@@ -180,24 +223,28 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     in theta with the rival forecasting it; the best point mass's worst truth
     follows lex_farthest, the tie rule of farthest_point. All grid rivals are
     also scanned to confirm that deviating from the truth never helps the
-    adversary. The point-mass scan streams the candidate x grid distances in
-    blocks, farthest candidates from their centroid first, and stops once a
-    triangle-inequality bound shows that no unread candidate can raise a
-    column's max; so memory is linear in the grid size and time scales with
-    grid points x candidates read. The mixture scan builds the full matrix
-    behind its own budget cap. The grid G and its squared norms come from
-    `_grid`, which keeps each grid of up to BLOCK_ENTRIES entries read-only
-    for the rest of the process, so repeated calls at one (n, grid_k) build
-    it once.
+    adversary. The point-mass scan reads the candidate x grid distances
+    exactly only in the grid columns that can win (`_winning_columns`, a
+    lower bound from the 2n candidates farthest from their centroid), in
+    blocks, so memory is linear in the grid size; the winner and its value
+    are those of the full scan, bit for bit. Grid membership and the rival
+    scan start from the grid's squared norms, one gemv per point, and decide
+    again exactly the rows within rounding of a threshold or a minimum. The
+    mixture scan builds the full matrix behind its own budget cap. The grid
+    G and its squared norms come from `_grid`, which keeps each grid of up
+    to BLOCK_ENTRIES entries read-only for the rest of the process, so
+    repeated calls at one (n, grid_k) build it once.
     """
     G, sq_g = _grid(theta.n, grid_k)                 # (num_grid, n), (num_grid,)
-    A = _adversary_candidates(theta, G)              # (num_cand, n)
+    A = _adversary_candidates(theta, G, sq_g)        # (num_cand, n)
     sq_a = np.sum(A**2, axis=1)
 
-    worst_per_pm = _column_max_dist_sq(A, sq_a, G, sq_g)  # worst-case loss per point mass
-    pm_values = c.margin - worst_per_pm
-    best_j = int(np.argmax(pm_values))               # first occurrence: deterministic
-    best_value = float(pm_values[best_j])
+    keep = _winning_columns(A, sq_a, G, sq_g)
+    G_k, sq_k = (G, sq_g) if keep is None else (G[keep], sq_g[keep])
+    pm_values = c.margin - _column_max_dist_sq(A, sq_a, G_k, sq_k)  # per point mass
+    i = int(np.argmax(pm_values))                    # first occurrence: deterministic
+    best_j = i if keep is None else int(keep[i])
+    best_value = float(pm_values[i])
     best_strategy = MixedStrategy(((Forecast.from_row(G[best_j]), 1.0),))
 
     details = {"grid_k": grid_k, "margin": c.margin, "best_point_mass_value": best_value}
@@ -227,8 +274,12 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     worst_truth = Forecast.from_row(A[lex_farthest(A, col)])
 
     # rival-deviation audit: the minimizing grid rival should coincide with
-    # the worst truth (rival = truth is the adversary's best reply)
-    diffs = G - worst_truth.probs
+    # the worst truth (rival = truth is the adversary's best reply); the
+    # rows within rounding of the norms' minimum are measured again
+    w = worst_truth.probs
+    e = sq_g - 2.0 * (G @ w) + w @ w
+    near = np.flatnonzero(e <= e.min() + NORM_SLACK)
+    diffs = G[near] - w
     d = diffs[int(np.argmin(np.sum(diffs**2, axis=1)))]
     details["reduction_rival_matches_truth_dist_sq"] = float(np.dot(d, d))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -29,6 +30,8 @@ from expert_screening import (
 )
 from expert_screening import analyzer
 from expert_screening.errors import ResolutionTooLarge
+from expert_screening.plausible import MEMBERSHIP_TOL, _ball_grid, members
+from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
 
 FX = Forecast([1, 0])
@@ -172,11 +175,17 @@ class TestOracleMaxmin:
             oracle_maxmin(theta, c, grid_k=10**4)
 
 
+def _members_candidates(theta, G):
+    """The oracle's candidate rows with grid membership from `members`."""
+    own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
+    return np.vstack([own, G[members(theta, G)]])
+
+
 def _full_matrix_oracle(theta, c, k):
     """The oracle's point-mass scan on the whole candidate x grid matrix:
     (value, strategy row, worst truth row, details)."""
     G = grid_enumerate(_space(theta.n), k)
-    A = analyzer._adversary_candidates(theta, G)
+    A = _members_candidates(theta, G)
     sq_a, sq_g = np.sum(A**2, axis=1), np.sum(G**2, axis=1)
     D = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
     pm_values = c.margin - D.max(axis=0)
@@ -238,54 +247,102 @@ class TestBlockedReduction:
             rows = {"two_rows": 2, "ragged": num_cand // 2 + 1, "single": num_cand}[blocks]
             monkeypatch.setattr(analyzer, "BLOCK_ENTRIES", rows * num_grid)
             report = oracle_maxmin(theta, c, grid_k=k)
-            assert report.value == value
-            assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, strategy)
-            assert np.array_equal(report.worst_case_truth.probs, worst)
-            assert report.details == details
+            self._report_equals(report, value, strategy, worst, details)
 
-    # the audit's largest ball reads 1 of its 204 blocks of 21 rows; a
-    # finite set at n = 3 whose vertices are farthest from its centroid
-    # reads the 3 blocks holding them (the vertices are also grid points,
-    # so they come twice) out of 13 two-row blocks; a two-point set has one
-    @pytest.mark.parametrize("theta,k,rows,most", [
-        pytest.param(Ball(Forecast([0.5, 0.5]), 0.95 * 0.5 / math.sqrt(0.5)), 3000, None, 2,
+    @staticmethod
+    def _report_equals(report, value, strategy, worst, details):
+        assert report.value == value
+        assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, strategy)
+        assert np.array_equal(report.worst_case_truth.probs, worst)
+        assert report.details == details
+
+    # the exact walk reads every candidate in 2 grid columns: 2 of 3001 for
+    # the audit's largest ball (4278 candidates) and 2 of 316 251 for the
+    # CLI default k = 50 on an n = 5 ball (7247 candidates); before it, the
+    # lower bound reads 2n candidates in every column and f* all of them in
+    # two columns
+    @pytest.mark.parametrize("theta,k,num_cand,num_grid", [
+        pytest.param(Ball(Forecast([0.5, 0.5]), 0.95 * 0.5 / math.sqrt(0.5)), 3000, 4278, 3001,
                      id="largest_ball"),
-        pytest.param(FiniteSet(tuple(map(Forecast, np.eye(3))) + tuple(map(
-            Forecast, np.random.default_rng(47).dirichlet(np.full(3, 30.0), 20)))), 30, 2, 3,
-                     id="vertices_first"),
-        pytest.param(FiniteSet((Forecast([0.3, 0.7]), Forecast([0.6, 0.4]))), 3000, None, 1,
-                     id="two_points"),
+        pytest.param(Ball(Forecast(np.full(5, 0.2)), 0.15), 50, 7247, 316251, id="n5_ball_k50"),
     ])
-    def test_walk_stops_early(self, theta, k, rows, most, monkeypatch):
-        G = grid_enumerate(_space(theta.n), k)
-        args, full = _full_column_max(analyzer._adversary_candidates(theta, G), G)
-        if rows:
-            monkeypatch.setattr(analyzer, "BLOCK_ENTRIES", rows * len(G))
+    def test_exact_walk_reads_two_columns(self, theta, k, num_cand, num_grid, monkeypatch):
         calls = []
-        matmul = np.matmul
+        column_max = analyzer._column_max_dist_sq
 
-        def counting(*a, **kw):
-            calls.append(1)
-            return matmul(*a, **kw)
+        def counting(A, sq_a, G, sq_g):
+            calls.append((len(A), len(G)))
+            return column_max(A, sq_a, G, sq_g)
 
-        monkeypatch.setattr(np, "matmul", counting)
-        out = analyzer._column_max_dist_sq(*args)
+        monkeypatch.setattr(analyzer, "_column_max_dist_sq", counting)
+        c = Contract(0.1, FIXED_MARGIN)
+        report = oracle_maxmin(theta, c, grid_k=k)
         monkeypatch.undo()
-        assert 1 <= len(calls) <= most
-        assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
+        assert calls == [(2 * theta.n, num_grid), (num_cand, 2), (num_cand, 2)]
+        if num_grid * num_cand <= 2 * 10**7:
+            # every column read, in blocks: the unpruned scan
+            G, sq_g = analyzer._grid(theta.n, k)
+            A = analyzer._adversary_candidates(theta, G, sq_g)
+            pm = c.margin - column_max(A, np.sum(A**2, axis=1), G, sq_g)
+            j = int(np.argmax(pm))
+            assert report.value == pm[j]
+            assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, G[j])
+        else:
+            # the barycenter is a grid point; the ball's surface points
+            # along e_i - e_j are candidates
+            assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, np.full(5, 0.2))
+            assert abs(report.value - uninformed_maxmin(theta, c).value) <= 1e-8
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.integers(2, 8), kind=st.sampled_from(["finite", "uncut", "clipped"]),
            seed=st.integers(0, 2**32 - 1))
     def test_early_exit_equals_full_matrix(self, n, kind, seed):
-        # two-row blocks: the most blocks, and the most bound checks
+        # the pruned scan's whole report, and the blocked column maxima of
+        # every grid column, against the whole candidate x grid matrix;
+        # two-row blocks: the most blocks
         theta = _random_theta(np.random.default_rng(seed), n, kind)
-        G = grid_enumerate(_space(n), {2: 60, 3: 15, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}[n])
-        args, full = _full_column_max(analyzer._adversary_candidates(theta, G), G)
+        c = Contract(0.1, FIXED_MARGIN)
+        k = {2: 60, 3: 15, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}[n]
+        value, strategy, worst, details, num_cand, num_grid = _full_matrix_oracle(theta, c, k)
+        G = grid_enumerate(_space(n), k)
+        args, full = _full_column_max(_members_candidates(theta, G), G)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analyzer, "BLOCK_ENTRIES", 2 * len(G))
+            mp.setattr(analyzer, "BLOCK_ENTRIES", 2 * num_grid)
             out = analyzer._column_max_dist_sq(*args)
+            report = oracle_maxmin(theta, c, grid_k=k)
         assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
+        self._report_equals(report, value, strategy, worst, details)
+
+    def test_near_ties_equal_full_matrix(self):
+        # inputs built to round: sets closed under permuting the states,
+        # whose grid columns tie in exact arithmetic and differ in the last
+        # bits, at margins where margin - f rounds the difference away (the
+        # first column must win even when it is not among the two smallest
+        # lower bounds; k = 1 mod 3 rounds most often); and sets of grid
+        # midpoints, whose worst truth sits halfway between two grid rivals
+        rng = np.random.default_rng(51)
+        for _ in range(40):
+            k = 3 * int(rng.integers(1, 13)) + 1
+            rows = [np.array(sorted(set(itertools.permutations(rng.dirichlet(np.ones(3))))))
+                    for _ in range(2)]
+            theta = FiniteSet(tuple(map(Forecast, np.vstack(rows))))
+            for margin in (2.0, 4.0, 8.0):
+                c = Contract(margin, FIXED_MARGIN)
+                value, strategy, worst, details, _, _ = _full_matrix_oracle(theta, c, k)
+                self._report_equals(oracle_maxmin(theta, c, grid_k=k), value, strategy, worst,
+                                    details)
+        c = Contract(0.1, FIXED_MARGIN)
+        for _ in range(40):
+            n, k = int(rng.integers(2, 4)), int(rng.integers(4, 30))
+            G = grid_enumerate(_space(n), k)
+            pairs = rng.choice(len(G), size=(int(rng.integers(2, 7)), 2))
+            mid = (G[pairs[:, 0]] + G[pairs[:, 1]]) / 2
+            mid = mid[np.unique(np.rint(mid * 2 * k), axis=0, return_index=True)[1]]
+            if len(mid) < 2:
+                continue
+            theta = FiniteSet(tuple(map(Forecast, mid)))
+            value, strategy, worst, details, _, _ = _full_matrix_oracle(theta, c, k)
+            self._report_equals(oracle_maxmin(theta, c, grid_k=k), value, strategy, worst, details)
 
     def test_memory_is_linear_in_grid(self):
         c = Contract(0.1, FIXED_MARGIN)
@@ -306,6 +363,49 @@ class TestBlockedReduction:
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda b: oracle_maxmin(b, c, grid_k=2000).value, balls))
         assert threaded == serial
+
+
+class TestGridMembers:
+    """The oracle's candidate rows, with grid membership taken from the
+    grid's squared norms, against `members` at its boundary, bit for bit."""
+
+    @staticmethod
+    def _assert_members(theta, n, k):
+        G, sq_g = analyzer._grid(n, k)
+        assert np.array_equal(analyzer._grid_members(theta, G, sq_g), members(theta, G))
+        A = analyzer._adversary_candidates(theta, G, sq_g)
+        assert np.array_equal(A.view(np.uint64), _members_candidates(theta, G).view(np.uint64))
+
+    @pytest.mark.parametrize("n,k", [(2, 40), (3, 12), (5, 6)])
+    def test_ball_radius_at_a_grid_distance(self, n, k):
+        # a ball centred on a grid point whose radius is the distance, as
+        # `members` measures it, to another grid point, and that radius
+        # moved by MEMBERSHIP_TOL either way; each also 1 ulp up and down
+        G, _ = analyzer._grid(n, k)
+        rng = np.random.default_rng(49)
+        for _ in range(12):
+            i, j = rng.choice(len(G), size=2, replace=False)
+            d = float(np.sqrt(dist_sq_rows(G[j : j + 1], G[i]))[0])
+            for r in (d, d + MEMBERSHIP_TOL, d - MEMBERSHIP_TOL):
+                for radius in (r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)):
+                    self._assert_members(Ball(Forecast(G[i]), float(radius)), n, k)
+
+    @pytest.mark.parametrize("n,k", [(2, 40), (3, 12), (5, 6)])
+    def test_finite_set_near_grid_points(self, n, k):
+        # forecasts on grid points, and 1e-10 (inside MEMBERSHIP_TOL) and
+        # 1e-8 (outside) from them along e_a - e_b
+        G, _ = analyzer._grid(n, k)
+        rng = np.random.default_rng(50)
+        for offset in (0.0, 1e-10, 1e-8):
+            for _ in range(6):
+                rows = []
+                for g in G[rng.choice(len(G), size=3, replace=False)]:
+                    b = int(np.argmax(g))
+                    a = (b + 1) % n
+                    u = np.zeros(n)
+                    u[a], u[b] = 1.0, -1.0
+                    rows.append(g + offset * u / math.sqrt(2.0))
+                self._assert_members(FiniteSet(tuple(map(Forecast, rows))), n, k)
 
 
 class TestGridCache:
