@@ -2,7 +2,8 @@
 
 Reports are machine-readable JSON (CSV for simulate on request); every
 numeric result carries a method tag (exact | oracle | monte_carlo), and
-warnings appear both in the report and on stderr.
+warnings appear both in the report and on stderr. `verify` writes each
+check's wall seconds to stderr, so its stdout stays byte-identical.
 
 Exit codes: 0 success; 1 invalid input; 2 an uncertified Chebyshev solve
 in analyze, oracle or simulate (its radius bounds still more than
@@ -12,6 +13,7 @@ written all the same); 3 verification failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -186,11 +188,12 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     results = run_all(quick=args.quick)
-    width = max(len(name) for name, _, _ in results)
+    width = max(len(name) for name, _, _, _ in results)
     failed = []
-    for name, ok, detail in results:
+    for name, ok, detail, seconds in results:
         status = "PASS" if ok else "FAIL"
         sys.stdout.write(f"{name.ljust(width)}  {status}  {detail}\n")
+        sys.stderr.write(f"time: {name.ljust(width)}  {seconds:.3f} s\n")
         if not ok:
             failed.append(name)
     if failed:
@@ -218,7 +221,11 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The `expert-screen` parser, built on the first call and shared by
+    every later call in the process (an in-process caller of `main` pays
+    for argparse once). Callers must not mutate it."""
     parser = _Parser(
         prog="expert-screen",
         description="Screening contracts for probabilistic forecasters",

@@ -36,9 +36,13 @@ def _require_keys(obj, allowed, where):
 def _finite_number(x, where):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidScenario(f"{where}: expected a number")
-    if not math.isfinite(x):
+    try:
+        value = float(x)  # an int past float range raises OverflowError
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         raise InvalidScenario(f"{where}: number must be finite")
-    return float(x)
+    return value
 
 
 def _forecast(raw, space, where):
@@ -207,6 +211,6 @@ def load_scenario(path):
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidScenario(f"file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise InvalidScenario(f"file: invalid JSON ({exc})") from exc
     return parse_scenario(obj)

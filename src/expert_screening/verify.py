@@ -8,6 +8,7 @@ random instances.
 """
 
 import json
+import time
 
 import numpy as np
 
@@ -441,12 +442,13 @@ CHECKS = [
 
 
 def run_all(quick=False):
-    """Run every check; returns a list of (name, ok, detail)."""
+    """Run every check; returns a list of (name, ok, detail, wall seconds)."""
     results = []
     for name, fn in CHECKS:
+        t0 = time.perf_counter()
         try:
             ok, detail = fn(quick)
         except Exception as exc:  # a crashing check is a failing check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
+        results.append((name, ok, detail, time.perf_counter() - t0))
     return results

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from expert_screening import (
 from expert_screening.cli import main
 from expert_screening.errors import InvalidScenario
 from expert_screening.scenario import parse_scenario
+from expert_screening.verify import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos" / "scenarios"
@@ -37,6 +39,27 @@ def _demo(name, trials):
 
 TWO_POINT_SAFE = _demo("prop1_safe", 500)
 PROP2 = _demo("prop2_balls", 2000)
+
+
+# field name -> (scenario, function that puts a number into that field)
+SET_NUMBER = {
+    "nature.forecast": (PROP2, lambda o, x: o["nature"].update(forecast=[x, 0, 0])),
+    "experts[0].theta.center":
+        (PROP2, lambda o, x: o["experts"][0]["theta"].update(center=[0, x, 0])),
+    "experts[1].theta.radius":
+        (PROP2, lambda o, x: o["experts"][1]["theta"].update(radius=x)),
+    "contract.eps1": (PROP2, lambda o, x: o["contract"].update(eps1=x)),
+    "contract.eps2": (PROP2, lambda o, x: o["contract"].update(eps2=x)),
+    "contract.gamma": (PROP2, lambda o, x: o["contract"].update(gamma=x)),
+    "contract.policy.fixed":
+        (TWO_POINT_SAFE, lambda o, x: o["contract"].update(policy={"fixed": x})),
+    "contract.witnesses[1]":
+        (TWO_POINT_SAFE, lambda o, x: o["contract"].update(witnesses=[[1, 0], [0, x]])),
+    "experts[1].theta.forecasts[0]": (
+        TWO_POINT_SAFE,
+        lambda o, x: o["experts"][1]["theta"].update(forecasts=[[x, 0], [0, 1]]),
+    ),
+}
 
 
 def _write(tmp_path, obj, name="scenario.json"):
@@ -124,6 +147,33 @@ class TestAnalyze:
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["analyze", "/nonexistent/path.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # past the interpreter's 4300-digit limit on parsing an int
+            json.dumps(TWO_POINT_SAFE).replace('"seed": 7', '"seed": ' + "1" * 5000)
+            .encode(),
+            json.dumps(TWO_POINT_SAFE).replace('"up"', '"été"').encode("latin-1"),
+        ],
+        ids=["5000_digit_int", "latin1"],
+    )
+    def test_undecodable_file_exits_1(self, raw, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: file: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", sorted(SET_NUMBER))
+    def test_integer_past_float_range_exits_1(self, field, tmp_path, capsys):
+        """A 401-digit JSON integer is no finite float: one error line naming
+        the field, no OverflowError."""
+        base, put = SET_NUMBER[field]
+        obj = json.loads(json.dumps(base))
+        put(obj, 10**400)
+        assert main(["analyze", _write(tmp_path, obj)]) == 1
+        assert capsys.readouterr().err == f"error: {field}: number must be finite\n"
 
     def test_uncertified_chebyshev_exits_2(self, monkeypatch, capsys):
         solve = analyzer.chebyshev
@@ -274,10 +324,16 @@ class TestSimulate:
 class TestVerify:
     def test_quick_passes(self, capsys):
         code = main(["verify", "--quick"])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         assert code == 0
         assert "paper-epsilon-counterexample" in out
         assert "FAIL" not in out
+        # one wall-time line per check, on stderr only (stdout: golden verify-quick)
+        timings = captured.err.splitlines()
+        assert [line.split()[1] for line in timings] == [name for name, _ in CHECKS]
+        assert all(re.fullmatch(r"time: \S+ +\d+\.\d{3} s", line) for line in timings)
+        assert "time:" not in out
 
 
 @pytest.mark.parametrize(
@@ -302,6 +358,49 @@ def test_bad_arguments_exit_1(argv, code, capsys):
     assert got == code
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a flag in one call, the same command without it, a bad value, another command
+SHARED_PARSER_RUNS = [
+    ["oracle", DEMO, "--grid-k", "10", "--mixtures"],
+    ["oracle", DEMO, "--grid-k", "10"],
+    ["oracle", DEMO, "--grid-k", "0"],
+    ["analyze", DEMO],
+]
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_shared(monkeypatch, capsys):
+    """main reuses one parser per process; each call's output equals a run
+    with a freshly built parser, so no call leaves state for the next."""
+    fresh = []
+    for argv in SHARED_PARSER_RUNS:
+        cli.build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    cli.build_parser.cache_clear()
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    shared = [_run(argv, capsys) for argv in SHARED_PARSER_RUNS]
+    assert shared == fresh
+    assert built == ["expert-screen"] + [
+        f"expert-screen {c}" for c in ("analyze", "oracle", "simulate", "verify")
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0]
+    with_flag, without = (json.loads(out)["experts"][1]["oracle"] for _, out, _ in shared[:2])
+    assert "best_mixture_value" in with_flag
+    assert "best_mixture_value" not in without
 
 
 def _bench_tracing():

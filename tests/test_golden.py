@@ -34,6 +34,8 @@ for _name in ("prop1_safe", "prop2_balls"):
     _path = str(DEMOS / f"{_name}.json")
     RUNS[f"simulate-{_name}-blocks"] = ["simulate", _path, "--trials", "9000"]
 RUNS["simulate-uniform_n6"] = ["simulate", UNIFORM, "--trials", "9000"]
+# verify's per-check timings go to stderr; its stdout stays fixed
+RUNS["verify-quick"] = ["verify", "--quick"]
 
 
 def run(argv):
