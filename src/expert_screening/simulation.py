@@ -5,14 +5,15 @@ any state is observed); trials are repeated draws of the same one-shot
 game for statistical verification. Trials run in blocks of BLOCK; block b
 draws all of its randomness from its own counter-based stream,
 Philox(key=seed, counter=[0, 0, 0, b]), so results depend only on
-(scenario, seed); within a block, each sampling expert's announcements
-are one sample_from call (the layout RNG_LAYOUT names). A fixed nature
-draws states by binary search on its CDF; a uniform nature counts, one
-state column at a time, the per-trial CDF entries at or below the
-uniform. With a fixed nature and no sampling expert, a payoff depends
-only on the state, so a block reads a per-state payoff table. Each
-block's payoff mean and M2 are merged in block order with the pairwise
-update of Chan, Golub & LeVeque (1979).
+(scenario, seed) (the layout RNG_LAYOUT names). With a fixed nature and no
+sampling expert, a payoff depends only on the state, so a block is one
+multinomial draw of state counts read against a per-state payoff table.
+Otherwise a block draws per-trial states: by binary search on a fixed
+nature's CDF, or under a uniform nature by counting, one state column at a
+time, the per-trial CDF entries at or below the uniform; each sampling
+expert's announcements are one sample_from call. Every row sum adds the
+columns in order. Each block's payoff size, mean and M2 are merged in
+block order with the pairwise update of Chan, Golub & LeVeque (1979).
 """
 
 import math
@@ -36,7 +37,7 @@ ANNOUNCE_CHEBYSHEV = "chebyshev"
 ANNOUNCE_SAMPLE = "sample"
 
 BLOCK = 4096                   # trials per counter-based stream
-RNG_LAYOUT = "philox-block-v2"
+RNG_LAYOUT = "philox-block-v3"
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,16 @@ def sample_state(truth, rng):
     return int(inverse_cdf(np.cumsum(truth.probs), float(rng.random())))
 
 
+def _row_sums(x):
+    """Sums over the last axis of x, adding the columns in order: the last
+    column of np.cumsum(x, axis=-1) bit for bit. numpy's pairwise row sum
+    gives the same bits only below 8 columns, and is slower on short rows."""
+    s = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        s += x[..., j]
+    return s
+
+
 def _uniform_states(truth, u):
     """inverse_cdf of each row of the (B, n) truths at its own uniform: the
     CDF is built one column at a time, the sequential sums of np.cumsum, and
@@ -222,22 +233,28 @@ def _expected_roles(experts):
 
 
 def block_payoffs(sc, contracts, decisions):
-    """Yield each block's realized payoffs as a (2, B) array, in block order.
+    """Yield each block's payoffs as (pay, counts), in block order.
 
-    Block b draws from block_rng(sc.seed, b): first the truths of a uniform
-    nature (a (B, n) array of normalized standard exponentials), then B
-    state uniforms, then each sampling expert's whole block, one
-    sample_from(theta, rng, B) call per expert in expert order. Both experts
-    announce every trial (a rejecting expert's announcement still defines
-    the rival forecast for the other side); a rejecting expert's payoffs
-    are 0.
+    With a fixed nature and no sampling expert, every announcement is one
+    row and a payoff depends only on the state: pay is the (2, n) per-state
+    payoff table, built once with the per-trial formula's operations in the
+    same order, and counts the block's state counts, one
+    rng.multinomial(B, truth) draw from block_rng(sc.seed, b); column s of
+    the table stands for counts[s] trials.
 
-    States follow sample_state's inverse-CDF rule: by binary search on a
-    fixed nature's CDF, and under a uniform nature by counting each trial's
-    CDF entries at or below its uniform, one state column at a time. When
-    the nature is fixed and nobody samples, every announcement is one row,
-    so a block is the gather of a (2, n) per-state payoff table, built once
-    with the per-trial formula's operations in the same order.
+    Otherwise pay is a (2, B) array of per-trial payoffs and counts is None.
+    Block b then draws from block_rng(sc.seed, b): first the truths of a
+    uniform nature (a (B, n) array of standard exponentials, each row
+    divided by its sum), then B state uniforms, then each sampling expert's
+    whole block, one sample_from(theta, rng, B) call per expert in expert
+    order. States follow sample_state's inverse-CDF rule: by binary search
+    on a fixed nature's CDF, and under a uniform nature by counting each
+    trial's CDF entries at or below its uniform, one state column at a time.
+
+    Both experts announce every trial (a rejecting expert's announcement
+    still defines the rival forecast for the other side); a rejecting
+    expert's payoffs are 0. Every row sum, a truth's normaliser or a squared
+    norm, adds the columns in order (_row_sums).
     """
     n = sc.states.n
     static = []  # announced rows; None for truth and sampled blocks
@@ -251,40 +268,53 @@ def block_payoffs(sc, contracts, decisions):
     sampled = [i for i, e in enumerate(sc.experts) if e.announce == ANNOUNCE_SAMPLE]
     accept = [d[0] == ACCEPT for d in decisions]
     uniform = sc.nature == "uniform"
+    sizes = [min(BLOCK, sc.trials - start) for start in range(0, sc.trials, BLOCK)]
     if not uniform:
         truth = sc.nature.probs
-        cdf = np.cumsum(truth)
         if not sampled:
             rows = [truth if a is None else a for a in static]
-            table = _payoffs(rows, [np.sum(r * r) for r in rows], contracts, accept)
-    for b, start in enumerate(range(0, sc.trials, BLOCK)):
-        size = min(BLOCK, sc.trials - start)
+            table = _payoffs(rows, [_row_sums(r * r) for r in rows], contracts, accept)
+            for b, size in enumerate(sizes):
+                yield table, block_rng(sc.seed, b).multinomial(size, truth)
+            return
+        cdf = np.cumsum(truth)
+    for b, size in enumerate(sizes):
         rng = block_rng(sc.seed, b)
         if uniform:
             truth = rng.standard_exponential((size, n))
-            truth /= truth.sum(axis=1, keepdims=True)
+            truth /= _row_sums(truth)[:, None]
             states = _uniform_states(truth, rng.random(size))
         else:
             states = inverse_cdf(cdf, rng.random(size))
-            if not sampled:
-                yield np.take(table, states, axis=1)
-                continue
         rows = [truth if a is None else a for a in static]
         for i in sampled:
             rows[i] = sample_from(sc.experts[i].theta, rng, size)
         at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]
-        yield _payoffs(at, [np.sum(r * r, axis=-1) for r in rows], contracts, accept)
+        yield _payoffs(at, [_row_sums(r * r) for r in rows], contracts, accept), None
 
 
-def _merge(count, mean, m2, x):
-    """Mean and M2 of `count` earlier payoffs merged with block x, by the
-    pairwise update of Chan, Golub & LeVeque."""
-    size = len(x)
-    block_mean = float(x.mean())
+def _block_moments(x, counts):
+    """(size, mean, M2) of one expert's block: per-trial payoffs x, or with
+    counts a per-state payoff row x whose entry s stands for counts[s]
+    trials."""
+    if counts is None:
+        mean = float(x.mean())
+        return len(x), mean, float(np.sum((x - mean) ** 2))
+    size = int(counts.sum())
+    mean = float(counts @ x) / size
+    return size, mean, float(counts @ (x - mean) ** 2)
+
+
+def _merge(a, b):
+    """(size, mean, M2) of the union of two disjoint groups of payoffs, each
+    given as (size, mean, M2), by the pairwise update of Chan, Golub &
+    LeVeque."""
+    count, mean, m2 = a
+    size, block_mean, block_m2 = b
     total = count + size
     delta = block_mean - mean
-    return (mean + delta * (size / total),
-            m2 + float(np.sum((x - block_mean) ** 2)) + delta * delta * (count * size / total))
+    return (total, mean + delta * (size / total),
+            m2 + block_m2 + delta * delta * (count * size / total))
 
 
 def run_tournament(sc):
@@ -297,12 +327,11 @@ def run_tournament(sc):
     contracts = build_contracts(sc.contract_config)
     decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
 
-    moments = [(0.0, 0.0), (0.0, 0.0)]
-    count = 0
-    for pay in block_payoffs(sc, contracts, decisions):
-        moments = [_merge(count, mean, m2, x) for (mean, m2), x in zip(moments, pay)]
-        count += pay.shape[1]
-    stderr = [math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0 for _, m2 in moments]
+    moments = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+    for pay, counts in block_payoffs(sc, contracts, decisions):
+        moments = [_merge(m, _block_moments(x, counts)) for m, x in zip(moments, pay)]
+    stderr = [math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+              for count, _, m2 in moments]
 
     roles = _expected_roles(sc.experts)
     screening_correct = all(
@@ -316,7 +345,7 @@ def run_tournament(sc):
             decision=decisions[i][0],
             analyzer_value=decisions[i][1],
             analyzer_certified=decisions[i][2] is None or decisions[i][2].certified,
-            mean_payoff=moments[i][0],
+            mean_payoff=moments[i][1],
             payoff_stderr=stderr[i],
         )
         for i in range(2)

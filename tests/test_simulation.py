@@ -28,6 +28,9 @@ from expert_screening.errors import InvalidScenario
 from expert_screening.plausible import chebyshev
 from expert_screening.simulation import (
     BLOCK,
+    _block_moments,
+    _merge,
+    _row_sums,
     _uniform_states,
     block_payoffs,
     block_rng,
@@ -316,7 +319,9 @@ REFERENCE_SCENARIOS = {
 def _scalar_payoffs(sc):
     """Every trial recomputed one at a time with the scalar sample_state and
     realized_payoff, from the same block streams and draw order: truths,
-    state uniforms, then one sample_from block per sampling expert."""
+    state uniforms, then one sample_from block per sampling expert; or, with
+    a fixed nature and no sampling expert, one multinomial draw of state
+    counts, expanded into per-trial states in state order."""
     contracts = build_contracts(sc.contract_config)
     accept = [decide_acceptance(e, c)[0] == "accept" for e, c in zip(sc.experts, contracts)]
     centers = [chebyshev(e.theta).center if e.announce == "chebyshev" else None
@@ -330,7 +335,11 @@ def _scalar_payoffs(sc):
             truths = [Forecast.from_row(e / e.sum()) for e in exps]
         else:
             truths = [sc.nature] * size
-        states = [sample_state(truth, rng) for truth in truths]
+        if sc.nature != "uniform" and all(e.announce != "sample" for e in sc.experts):
+            counts = rng.multinomial(size, sc.nature.probs)
+            states = np.repeat(np.arange(sc.states.n), counts).tolist()
+        else:
+            states = [sample_state(truth, rng) for truth in truths]
         samples = [sample_from(e.theta, rng, size) if e.announce == "sample" else None
                    for e in sc.experts]
         for t, (truth, s) in enumerate(zip(truths, states)):
@@ -350,10 +359,16 @@ def _scalar_payoffs(sc):
     return np.array(pay)
 
 
+def _expand(pay, counts):
+    """Per-trial payoffs of one block: a per-state table's column s repeated
+    counts[s] times, in state order."""
+    return pay if counts is None else np.repeat(pay, counts, axis=1)
+
+
 def _block_payoffs(sc):
     contracts = build_contracts(sc.contract_config)
     decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
-    return np.hstack(list(block_payoffs(sc, contracts, decisions)))
+    return np.hstack([_expand(*block) for block in block_payoffs(sc, contracts, decisions)])
 
 
 class TestBlockedTournament:
@@ -422,10 +437,69 @@ class TestBlockedTournament:
         assert all(sum(t is theta for t in solved) == 1 for theta in uninformed)
 
 
+class TestStateCounts:
+    """A fixed nature with no sampling expert: each block is one multinomial
+    draw of state counts against a (2, n) per-state payoff table."""
+
+    SC = Scenario(
+        states=SPACE3,
+        nature=Forecast([0.6, 0.0, 0.4]),
+        experts=(
+            ExpertSpec(id="alice", kind="informed"),
+            ExpertSpec(id="bob", kind="uninformed", theta=TRIANGLE, announce="chebyshev"),
+        ),
+        contract_config=Prop1Config(policy=SAFE_EPSILON, witnesses=(E1, E2)),
+        trials=2 * BLOCK + 5,
+        seed=21,
+    )
+
+    def _blocks(self, sc):
+        contracts = build_contracts(sc.contract_config)
+        decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
+        return list(block_payoffs(sc, contracts, decisions))
+
+    def test_counts_per_block(self):
+        blocks = self._blocks(self.SC)
+        assert [int(counts.sum()) for _, counts in blocks] == [BLOCK, BLOCK, 5]
+        # a zero-probability state is never counted
+        assert all(counts[1] == 0 for _, counts in blocks)
+        # the counts are the block stream's first draw
+        for b, (_, counts) in enumerate(blocks[:2]):
+            expect = block_rng(self.SC.seed, b).multinomial(BLOCK, self.SC.nature.probs)
+            assert np.array_equal(counts, expect)
+
+    def test_block_is_the_per_state_table(self):
+        blocks = self._blocks(self.SC)
+        table = blocks[0][0]
+        assert table.shape == (2, self.SC.states.n)
+        assert all(pay is table for pay, _ in blocks)
+        # bob rejects, so his row is 0; alice's row is her payoff in each state
+        assert not table[1].any()
+        contract = build_contracts(self.SC.contract_config)[0]
+        center = chebyshev(TRIANGLE).center
+        for s in range(3):
+            expect = realized_payoff(contract, self.SC.nature, center, s)
+            assert table[0, s] == pytest.approx(expect, rel=0.0, abs=1e-12)
+
+    def test_rejecting_expert_records_exactly_zero(self):
+        alice, bob = run_tournament(self.SC).experts
+        assert alice.decision == "accept" and bob.decision == "reject"
+        assert bob.mean_payoff == 0.0 and bob.payoff_stderr == 0.0
+        assert alice.payoff_stderr > 0.0
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_row_sums_add_columns_in_order(self, n):
+        x = np.random.default_rng(n).standard_exponential((257, n))
+        assert np.array_equal(_row_sums(x), np.cumsum(x, axis=1)[:, -1])
+        assert np.array_equal(_row_sums(x[0]), np.cumsum(x[0])[-1])
+
+
 def _reference_block_payoffs(sc, contracts, decisions):
     """The per-trial formula block_payoffs replaced, kept as its reference:
-    every state by a count over the (B, n) cumsum, every payoff recomputed
-    from the announced rows."""
+    every state by a count over the (B, n) cumsum, or from a fixed nature
+    with no sampling expert by the block's multinomial counts expanded in
+    state order, every row sum as the last column of a cumsum, and every
+    payoff recomputed from the announced rows."""
     n = sc.states.n
     static = []
     for expert, (_, _, report) in zip(sc.experts, decisions):
@@ -441,16 +515,19 @@ def _reference_block_payoffs(sc, contracts, decisions):
         rng = block_rng(sc.seed, b)
         if sc.nature == "uniform":
             truth = rng.standard_exponential((size, n))
-            truth /= truth.sum(axis=1, keepdims=True)
+            truth /= np.cumsum(truth, axis=-1)[:, -1:]
         else:
             truth = sc.nature.probs
-        u = rng.random(size)
-        states = np.minimum((np.cumsum(truth, axis=-1) <= u[:, None]).sum(axis=1), n - 1)
+        if sc.nature != "uniform" and not sampled:
+            states = np.repeat(np.arange(n), rng.multinomial(size, truth))
+        else:
+            u = rng.random(size)
+            states = np.minimum((np.cumsum(truth, axis=-1) <= u[:, None]).sum(axis=1), n - 1)
         rows = [truth if a is None else a for a in static]
         for i in sampled:
             rows[i] = sample_from(sc.experts[i].theta, rng, size)
         at = [r[np.arange(size), states] if r.ndim == 2 else r[states] for r in rows]
-        sq = [np.sum(r * r, axis=-1) for r in rows]
+        sq = [np.cumsum(r * r, axis=-1)[..., -1] for r in rows]
         pay = np.zeros((2, size))
         for i in range(2):
             if decisions[i][0] == "accept":
@@ -505,4 +582,12 @@ class TestPayoffKernel:
         new = list(block_payoffs(sc, contracts, decisions))
         ref = list(_reference_block_payoffs(sc, contracts, decisions))
         assert len(new) == len(ref)
-        assert all(np.array_equal(x, y) for x, y in zip(new, ref))
+        assert all(np.array_equal(_expand(*x), y) for x, y in zip(new, ref))
+        # the merged block moments against the whole reference's
+        moments = [(0, 0.0, 0.0)] * 2
+        for pay, counts in new:
+            moments = [_merge(m, _block_moments(x, counts)) for m, x in zip(moments, pay)]
+        for (count, mean, m2), x in zip(moments, np.hstack(ref)):
+            assert count == sc.trials
+            assert mean == pytest.approx(np.mean(x), rel=0.0, abs=1e-12)
+            assert m2 / count == pytest.approx(np.var(x), rel=0.0, abs=1e-12)
