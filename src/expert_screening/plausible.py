@@ -3,13 +3,17 @@
 A plausible set is either a finite collection of forecasts or an L2 ball
 implicitly intersected with the simplex. The Chebyshev center (the point
 of the simplex minimizing the maximum squared distance to the set) drives
-the uninformed expert's maxmin acceptance value.
+the uninformed expert's maxmin acceptance value. It is the set's minimum
+enclosing ball: in closed form for an uncut ball, otherwise from a core set
+that grows by one farthest point per round, each round solved exactly by a
+pivot walk (Fischer, Gaertner & Kutz 2003) and certified against the
+farthest-point oracle.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import count
 
 import numpy as np
 
@@ -30,6 +34,8 @@ DISTINCT_TOL = 1e-9     # minimum pairwise L2 distance in a finite set
 DISTINCT_BLOCK_ENTRIES = 2**16  # distinctness check: row pair x state entries per block
 GAP_TOL = 1e-12         # certified: upper - lower bound on radius^2 within this
 MAX_ROUNDS = 100        # core-set rounds before chebyshev gives up uncertified
+MAX_PIVOTS = 1000       # pivot-walk steps before _grow_support gives up
+PIVOT_TOL = 1e-7        # a stopper joins the support this far off its affine hull
 BALL_GRID_POINTS = 1500  # simplex grid size behind _ball_grid
 FACE_STATES_CAP = 16    # clipped-ball farthest point: 2^n faces, n at most this
 MAX_PROPOSALS = 10**4   # ball sampler: proposals before ResolutionTooLarge
@@ -231,30 +237,72 @@ def diameter_sq(theta):
 
 @dataclass(frozen=True)
 class ChebyshevResult:
+    """The solve's center and radius^2 (the upper bound), the support ball's
+    radius^2 (the lower bound) and the point of theta farthest from the
+    center, which set radius_sq."""
+
     center: Forecast
     radius_sq: float
     iterations: int
     certified: bool
+    lower: float
+    farthest: Forecast
 
 
-def _grow_support(support, p):
-    """Minimum enclosing ball of the support rows and p (outside their ball,
-    so on the new sphere): (rows, center, radius^2) of the first affinely
-    independent subset with p centered in its hull that holds every row."""
+def _grow_support(support, p, c):
+    """Minimum enclosing ball of the support rows and p, where the support's
+    ball is centered at c and p lies outside it: (rows, center, radius^2),
+    or None when no ball within GAP_TOL turns up.
+
+    A pivot walk (Fischer, Gaertner & Kutz 2003) on a set T of rows, from
+    c with T = {p}: c stays equidistant from T, and the ball around c
+    through T holds every row. Each step moves c toward T's circumcenter,
+    so the ball shrinks. The first row its sphere meets on the way joins T,
+    if it lies PIVOT_TOL off T's affine hull (in exact arithmetic every
+    such row does); at the circumcenter, the row with the most negative
+    affine weight leaves T. The walk ends at a circumcenter with weights
+    >= -1e-12. T keeps the rows' order, p last, so a support has the same
+    bits whichever search finds it.
+    """
     Q = np.vstack([support, p])
-    for size in range(len(Q)):
-        for rows in combinations(range(len(support)), size):
-            sub = Q[list(rows) + [len(support)]]
+    rows = [len(support)]
+    for _ in range(MAX_PIVOTS):
+        sub = Q[rows]
+        if len(rows) == 1:
+            weights, cc = np.ones(1), sub[0]
+        else:
             A = sub[1:] - sub[0]
             G = A @ A.T
-            if np.linalg.matrix_rank(G, tol=1e-14 * max(1.0, np.trace(G))) < len(A):
-                continue
-            alpha = np.linalg.solve(G, 0.5 * np.diag(G))
+            alpha = np.linalg.solve(G, 0.5 * G.diagonal())
             weights = np.concatenate([[1.0 - alpha.sum()], alpha])
-            c = weights @ sub
-            r2 = float(dist_sq_rows(sub, c).min())
-            if weights.min() >= -1e-12 and dist_sq_rows(Q, c).max() <= r2 + GAP_TOL:
-                return sub, c, r2
+            cc = weights @ sub
+        if len(rows) < len(Q):
+            # row s meets the sphere at step t = (r^2 - |s - c|^2) / (2 v.(q - s))
+            # for q in T, if v.(q - s) > 0; it may join T if v.(q - s) also
+            # clears v's rounding (1e-15) and puts s PIVOT_TOL off aff(T)
+            v = cc - c
+            lim = PIVOT_TOL * math.sqrt(float(v @ v)) + 1e-15
+            d = dist_sq_rows(Q, c).tolist()
+            r2 = d[rows[0]]
+            step, stop = 1.0, None
+            for i, den in enumerate(((sub[0] - Q) @ v).tolist()):
+                if den > lim and i not in rows:
+                    t = max(r2 - d[i], 0.0) / (2.0 * den)
+                    if t < step:
+                        step, stop = t, i
+            if stop is not None:
+                c = c + step * v
+                rows = sorted(rows + [stop])
+                continue
+        c = cc
+        j = int(weights.argmin())
+        if weights[j] < -1e-12:
+            del rows[j]
+            continue
+        d = dist_sq_rows(Q, c)  # row by row, so d[rows] has dist_sq_rows(sub, c)'s bits
+        r2 = float(d[rows].min())
+        return (sub, c, r2) if d.max() <= r2 + GAP_TOL else None
+    return None
 
 
 def chebyshev(theta):
@@ -262,24 +310,29 @@ def chebyshev(theta):
     centered in conv(theta) and so in the simplex (an uncut ball is its own).
 
     A core set grows (Badoiu & Clarkson 2003; Yildirim 2008): each round
-    adds theta's farthest point from the support ball's center and solves
-    that ball again exactly. Its radius^2 bounds theta's from below, the
-    farthest distance^2 (radius_sq) from above; certified within GAP_TOL.
+    adds theta's farthest point from the support ball's center, and a
+    pivot walk from that center (_grow_support) solves the ball of the
+    support and the new point exactly. The support ball's radius^2 bounds
+    theta's from below, the farthest distance^2 (radius_sq) from above;
+    certified within GAP_TOL.
     """
     if isinstance(theta, Ball) and theta.is_uncut():
-        return ChebyshevResult(Forecast(theta.center.probs), theta.radius**2, 0, True)
+        center = Forecast(theta.center.probs)
+        far, _ = farthest_point(theta, center)
+        r2 = theta.radius**2
+        return ChebyshevResult(center, r2, 0, True, r2, far)
     first = theta.points[0] if isinstance(theta, FiniteSet) else theta.center.probs
     support, c, lower = first[None], first, 0.0
     for rounds in range(1, MAX_ROUNDS + 1):
         center = Forecast(c)
         far, upper = farthest_point(theta, center)
         if upper - lower <= GAP_TOL:
-            return ChebyshevResult(center, upper, rounds, True)
-        grown = _grow_support(support, far.probs)
+            return ChebyshevResult(center, upper, rounds, True, lower, far)
+        grown = _grow_support(support, far.probs, c)
         if grown is None:
             break
         support, c, lower = grown
-    return ChebyshevResult(center, upper, rounds, False)
+    return ChebyshevResult(center, upper, rounds, False, lower, far)
 
 
 def sample_from(theta, rng, size=None):

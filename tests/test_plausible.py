@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -24,7 +25,13 @@ from expert_screening import (
 )
 from expert_screening.errors import LengthMismatch, ResolutionTooLarge
 from expert_screening import plausible
-from expert_screening.plausible import BALL_GRID_POINTS, _ball_grid, _ball_simplex, members
+from expert_screening.plausible import (
+    BALL_GRID_POINTS,
+    DISTINCT_TOL,
+    _ball_grid,
+    _ball_simplex,
+    members,
+)
 from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
 
@@ -303,6 +310,140 @@ class TestClippedBall:
             assert contains(ball, far)
             gap = math.sqrt(float(np.sum((ball.center.probs - x.probs) ** 2)))
             assert d2 == pytest.approx((gap + ball.radius) ** 2, abs=1e-12)
+
+
+def _enumerated_support(support, p):
+    """The subset search that the pivot walk replaced, kept as its reference:
+    the first affinely independent subset of support ∪ {p} that contains p,
+    has its circumcenter in its hull (weights >= -1e-12) and holds every
+    row within GAP_TOL, tried by size and then in `itertools.combinations`
+    order."""
+    Q = np.vstack([support, p])
+    for size in range(len(Q)):
+        for rows in itertools.combinations(range(len(support)), size):
+            sub = Q[list(rows) + [len(support)]]
+            A = sub[1:] - sub[0]
+            G = A @ A.T
+            if np.linalg.matrix_rank(G, tol=1e-14 * max(1.0, np.trace(G))) < len(A):
+                continue
+            alpha = np.linalg.solve(G, 0.5 * np.diag(G))
+            weights = np.concatenate([[1.0 - alpha.sum()], alpha])
+            c = weights @ sub
+            r2 = float(dist_sq_rows(sub, c).min())
+            if weights.min() >= -1e-12 and dist_sq_rows(Q, c).max() <= r2 + plausible.GAP_TOL:
+                return sub, c, r2
+
+
+def _support_steps(theta):
+    """(support, p, center) of every support step that chebyshev(theta) takes."""
+    calls = []
+    step = plausible._grow_support
+
+    def recording(support, p, c):
+        calls.append((support, p, c))
+        return step(support, p, c)
+
+    plausible._grow_support = recording
+    try:
+        chebyshev(theta)
+    finally:
+        plausible._grow_support = step
+    return calls
+
+
+def _near_duplicate_set(rng, n, m):
+    """m random forecasts on n states, about a third of them within 1.5 to
+    20 DISTINCT_TOL of an earlier one."""
+    pts = []
+    while len(pts) < m:
+        x = rng.dirichlet(np.ones(n))
+        if pts and rng.random() < 0.35:
+            d = rng.standard_normal(n)
+            d -= d.mean()
+            x = pts[int(rng.integers(len(pts)))] + rng.uniform(1.5, 20) * DISTINCT_TOL * d / np.linalg.norm(d)
+        x = Forecast(np.clip(x, 0.0, None)).probs
+        if not pts or dist_sq_rows(np.array(pts), x).min() > (1.01 * DISTINCT_TOL) ** 2:
+            pts.append(x)
+    return FiniteSet(tuple(Forecast.from_row(x) for x in pts))
+
+
+def _outside_step(rng, theta):
+    """The support that chebyshev(theta) ends with, its center, and a point
+    1.05 to 1.5 of its radius away from the center: (support, p, center)."""
+    support, c, r2 = plausible._grow_support(*_support_steps(theta)[-1])
+    d = rng.standard_normal(len(c))
+    d -= d.mean()
+    return support, c + rng.uniform(1.05, 1.5) * math.sqrt(r2) * d / np.linalg.norm(d), c
+
+
+def _assert_matches_enumeration(support, p, c):
+    rows, center, r2 = plausible._grow_support(support, p, c)
+    ref_rows, ref_center, ref_r2 = _enumerated_support(support, p)
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert center.tobytes() == ref_center.tobytes()
+    assert r2 == ref_r2
+
+
+class TestPivotStep:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_enumeration_bit_for_bit(self, n, m, seed):
+        # every step of a real run, and one drawn outside point
+        rng = np.random.default_rng(seed)
+        theta = _random_finite_set(rng, n, max_points=m, min_points=m)
+        for step in _support_steps(theta) + [_outside_step(rng, theta)]:
+            _assert_matches_enumeration(*step)
+
+    @pytest.mark.parametrize("n, seed", [(5, 76), (6, 139), (7, 17), (8, 94)])
+    def test_matches_enumeration_where_a_row_leaves(self, n, seed):
+        # n points near one sphere hold a large support; on these seeds the
+        # walk to the outside point drops a row whose weight turned negative
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((n, n))
+        d -= d.mean(axis=1, keepdims=True)
+        pts = 1.0 / n + 0.05 * d / np.linalg.norm(d, axis=1, keepdims=True)
+        _assert_matches_enumeration(*_outside_step(rng, FiniteSet(tuple(Forecast.from_row(x) for x in pts))))
+
+    @pytest.mark.parametrize("n", [16, 20, 30])
+    def test_simplex_vertices(self, n):
+        res = chebyshev(FiniteSet(tuple(Forecast.from_row(e) for e in np.eye(n))))
+        assert res.certified
+        assert abs(res.radius_sq - (1.0 - 1.0 / n)) <= 1e-12
+
+    def test_near_duplicates(self):
+        rng = np.random.default_rng(34)
+        close = 0
+        for _ in range(60):
+            n, m = int(rng.integers(2, 13)), int(rng.integers(1, 13))
+            theta = _near_duplicate_set(rng, n, m)
+            close += int(np.sum(dist_sq_rows(theta.points[:, None], theta.points) < 1e-14) - m) // 2
+            res = chebyshev(theta)
+            assert res.certified
+            if m <= 8:
+                _, r2 = REFERENCE.meb_support_enumeration(theta.points)
+                assert abs(res.radius_sq - r2) <= 1e-12
+        assert close >= 30
+
+    def test_certificate_fields(self):
+        # farthest is the point that set radius_sq; an uncut ball's bounds
+        # are both its closed-form radius^2
+        rng = np.random.default_rng(36)
+        for theta in (_random_finite_set(rng, 4, max_points=6), _clipped_ball(rng, 4)):
+            res = chebyshev(theta)
+            far, d2 = farthest_point(theta, res.center)
+            assert res.farthest == far and res.radius_sq == d2
+            assert res.lower <= res.radius_sq <= res.lower + plausible.GAP_TOL
+        ball = Ball(Forecast([0.3, 0.3, 0.4]), 0.1)
+        res = chebyshev(ball)
+        assert res.farthest == farthest_point(ball, res.center)[0]
+        assert res.lower == res.radius_sq == 0.1**2
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_clipped_balls_up_to_the_face_cap(self, n):
+        assert n <= plausible.FACE_STATES_CAP
+        res = chebyshev(_clipped_ball(np.random.default_rng(35 + n), n))
+        assert res.certified
+        assert res.radius_sq - res.lower <= plausible.GAP_TOL
 
 
 class TestBallGrid:
