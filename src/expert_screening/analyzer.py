@@ -6,7 +6,6 @@ same report type so callers can diff them.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,8 +31,9 @@ from .simplex import (
 
 ACCEPT = "accept"
 REJECT = "reject"
-BLOCK_ENTRIES = 2**16   # oracle: candidate x grid entries per reduction block,
-                        # and the largest cached strategy grid
+BLOCK_ENTRIES = 2**16   # oracle: most candidate x grid entries in one block of
+                        # the column reduction (512 KiB, made per block), and
+                        # the largest cached strategy grid
 NORM_SLACK = 1e-12      # oracle: bound on the rounding of a squared distance taken
                         # from the norms, |g|^2 - 2 g.x + |x|^2 (about 1e-15 here)
 
@@ -49,7 +49,7 @@ class MaxminReport:
     details: dict = field(default_factory=dict)
 
 
-def informed_guarantee(c, truth=None):
+def informed_guarantee(c):
     """Worst-case expected payoff of a truthful informed expert.
 
     The minimizing rival is the truth itself, so the guarantee is the
@@ -141,45 +141,23 @@ def _grid(n, k):
     return _build_grid(n, k)
 
 
-_scratch = threading.local()
-
-
-def _block_buffers(rows, cols):
-    """Two (rows, cols) arrays for `_column_max_dist_sq`. When a block fits
-    in BLOCK_ENTRIES entries they are views of one array of 2 * BLOCK_ENTRIES
-    floats (1 MiB) kept per thread, so successive calls write the same pages
-    instead of faulting in fresh ones; a larger block (rows of more than
-    BLOCK_ENTRIES / 2 grid points) is allocated for the call."""
-    size = rows * cols
-    if size > BLOCK_ENTRIES:
-        return np.empty((rows, cols)), np.empty((rows, cols))
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape[1] != BLOCK_ENTRIES:
-        buf = _scratch.buf = np.empty((2, BLOCK_ENTRIES))
-    return buf[0, :size].reshape(rows, cols), buf[1, :size].reshape(rows, cols)
-
-
 def _column_max_dist_sq(A, sq_a, G, sq_g):
     """max over the rows a of A of ||a - g||^2 for each row g of G, clipped
     at 0; sq_a, sq_g are the rows' squared norms. Walks every row of A in
-    blocks of BLOCK_ENTRIES // len(G) rows, at least 2, through the two
-    buffers of `_block_buffers`, so memory is linear in len(G). Every block
-    is full: the last one ends at len(A) and overlaps its predecessor, which
-    leaves the maxima as they are; a one-row product would go to gemv, which
-    rounds unlike the full matrix's gemm. Clipping is monotone, so it
-    commutes with the max. Columns do not interact: a product of two or more
-    of them (gemm) gives each column the bits it has in the full matrix, so
-    the walk may run on any such subset of G's rows, as `_winning_columns`
-    has it do."""
+    blocks of BLOCK_ENTRIES // len(G) rows, at least 2; each block is one
+    array made for it and dropped after it, so memory is linear in len(G)
+    and nothing outlives the call. Every block is full: the last one ends
+    at len(A) and overlaps its predecessor, which leaves the maxima as they
+    are; a one-row product would go to gemv, which rounds unlike the full
+    matrix's gemm. Clipping is monotone, so it commutes with the max.
+    Columns do not interact: a product of two or more of them (gemm) gives
+    each column the bits it has in the full matrix, so the walk may run on
+    any such subset of G's rows, as `_winning_columns` has it do."""
     rows = min(len(A), max(2, BLOCK_ENTRIES // len(G)))
-    d, p = _block_buffers(rows, len(G))
     out = np.full(len(G), -np.inf)
     for start in range(0, len(A), rows):
         lo = min(start, len(A) - rows)
-        np.add(sq_a[lo : lo + rows, None], sq_g, out=d)
-        np.matmul(A[lo : lo + rows], G.T, out=p)
-        p *= 2.0
-        d -= p
+        d = sq_a[lo : lo + rows, None] + sq_g - 2.0 * (A[lo : lo + rows] @ G.T)
         np.maximum(out, d.max(axis=0), out=out)
     return np.clip(out, 0.0, None, out=out)
 

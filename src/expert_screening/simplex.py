@@ -20,7 +20,7 @@ from .errors import (
 
 SUM_TOL = 1e-9       # |sum - 1| allowed at construction
 NEG_TOL = 1e-12      # entries below -NEG_TOL are rejected, above are clipped
-GRID_CAP = 10**6     # default cap on grid_enumerate output size
+GRID_CAP = 10**6     # cap on grid_enumerate output size
 
 
 @dataclass(frozen=True)
@@ -168,25 +168,25 @@ def sample_simplex_uniform(space, rng):
     return Forecast(e / e.sum())
 
 
-def grid_enumerate(space, resolution, cap=GRID_CAP):
+def grid_enumerate(space, resolution):
     """All forecasts with entries in {0, 1/k, ..., 1}, lexicographic order.
 
     Returns a (C(k + n - 1, n - 1), n) float array, one forecast per row,
     normalized once the way Forecast normalizes; raises ResolutionTooLarge
-    past `cap` before allocating anything. Rows are built from their prefix
-    sums 0 <= s_0 <= ... <= s_{n-2} <= k, one column at a time: each row so
-    far is repeated once for every value from its last sum up to k, which
-    keeps the rows in lexicographic order; the counts are the differences
-    of consecutive sums.
+    past GRID_CAP rows, read at call time, before allocating anything. Rows
+    are built from their prefix sums 0 <= s_0 <= ... <= s_{n-2} <= k, one
+    column at a time: each row so far is repeated once for every value from
+    its last sum up to k, which keeps the rows in lexicographic order; the
+    counts are the differences of consecutive sums.
     """
     k = int(resolution)
     if k < 1:
         raise ValueError("resolution must be >= 1")
     n = space.n
     count = math.comb(k + n - 1, n - 1)
-    if count > cap:
+    if count > GRID_CAP:
         raise ResolutionTooLarge(
-            f"grid would have {count} points, exceeding cap {cap}"
+            f"grid would have {count} points, exceeding cap {GRID_CAP}"
         )
     s = np.arange(k + 1)[:, None]
     for _ in range(n - 2):

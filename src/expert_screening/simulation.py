@@ -49,19 +49,21 @@ class ExpertSpec:
 
     def __post_init__(self):
         if self.kind not in (INFORMED, UNINFORMED, PARTIAL):
-            raise InvalidScenario(f"expert {self.id}: unknown kind {self.kind!r}")
+            raise InvalidScenario(
+                f"expert {self.id}: kind must be 'informed', 'uninformed', or 'partial'"
+            )
         if self.kind == INFORMED:
+            if self.theta is not None:
+                raise InvalidScenario(f"expert {self.id}: informed experts take no theta")
             if self.announce != ANNOUNCE_TRUTH:
                 raise InvalidScenario(
                     f"expert {self.id}: informed experts must announce the truth"
                 )
-            if self.theta is not None:
-                raise InvalidScenario(
-                    f"expert {self.id}: informed experts carry no plausible set"
-                )
         else:
             if self.theta is None:
-                raise InvalidScenario(f"expert {self.id}: missing plausible set")
+                raise InvalidScenario(
+                    f"expert {self.id}: theta required for kind '{self.kind}'"
+                )
             if self.announce == ANNOUNCE_TRUTH:
                 raise InvalidScenario(
                     f"expert {self.id}: uninformed experts cannot announce the truth"
@@ -98,6 +100,8 @@ class Scenario:
     def __post_init__(self):
         if len(self.experts) != 2:
             raise InvalidScenario("experts: exactly 2 experts required")
+        if self.experts[0].id == self.experts[1].id:
+            raise InvalidScenario("experts: ids must be distinct")
         # exact type checks, because bool is an int subclass
         if type(self.trials) is not int or self.trials < 1:
             raise InvalidScenario("trials: must be a positive integer")

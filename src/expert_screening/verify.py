@@ -46,6 +46,7 @@ from .simplex import (
     mixed_mean,
     sample_simplex_uniform,
 )
+from .simulation import ExpertSpec, Prop1Config, Scenario, run_tournament
 
 
 CHI2_9_999 = 27.877  # 0.999 quantile of the chi-square law with 9 degrees of freedom
@@ -181,6 +182,9 @@ def check_truth_telling_gap(quick):
 
 
 def check_informed_guarantee(quick):
+    """A truthful informed expert's expected payoff against the grid rival
+    nearest the truth (the adversary's best reply on the grid) is at least
+    the guarantee, and exceeds it by exactly that rival's distance^2."""
     rng = np.random.default_rng(1003)
     count = 100 if quick else 1000
     k = 60
@@ -188,13 +192,15 @@ def check_informed_guarantee(quick):
     for _ in range(count):
         n = int(rng.integers(2, 4))
         truth = sample_simplex_uniform(_space(n), rng)
-        margin = float(rng.uniform(1e-6, 1.0))
-        c = Contract(margin, FIXED_MARGIN)
-        if informed_guarantee(c, truth) != margin:
-            return False, "guarantee != margin"
-        d = np.sum((grids[n] - truth.probs) ** 2, axis=1)
-        if float((d + margin).min()) < margin - 1e-9:
+        c = Contract(float(rng.uniform(1e-6, 1.0)), FIXED_MARGIN)
+        G = grids[n]
+        rival = Forecast.from_row(G[int(np.argmin(dist_sq_rows(G, truth.probs)))])
+        payoff = expected_payoff(c, truth, truth, rival)
+        guarantee = informed_guarantee(c)
+        if payoff < guarantee - 1e-12:
             return False, "grid rival beat the guarantee"
+        if abs(payoff - (guarantee + l2_dist_sq(truth, rival))) > 1e-12:
+            return False, "payoff != guarantee + rival distance^2"
     return True, f"{count} truths, rival grid k={k}"
 
 
@@ -382,8 +388,6 @@ def check_sampler_uniformity(quick):
 
 
 def check_monte_carlo_consistency(quick):
-    from .simulation import ExpertSpec, Prop1Config, Scenario, run_tournament
-
     fx, fy = Forecast([1.0, 0.0]), Forecast([0.0, 1.0])
     truth = Forecast([0.7, 0.3])
     trials = 10**4 if quick else 10**5

@@ -8,6 +8,7 @@ names; every other check runs once under `test_check[<name>]`.
 
 import pytest
 
+from expert_screening import verify
 from expert_screening.verify import CHECKS
 
 BY_CRITERION = {
@@ -51,3 +52,12 @@ def test_criterion_6_paper_epsilon_counterexample():
 
 def test_criterion_9_eq1_reduction_audit():
     _run_named("eq1-reduction-audit")
+
+
+def test_informed_guarantee_fails_on_a_short_payoff(monkeypatch):
+    # the check reads the truthful payoff at the grid rival nearest the
+    # truth; 1e-6 short of margin + that rival's distance^2 must fail it
+    payoff = verify.expected_payoff
+    monkeypatch.setattr(verify, "expected_payoff", lambda *args: payoff(*args) - 1e-6)
+    ok, _ = verify.check_informed_guarantee(quick=True)
+    assert not ok

@@ -354,9 +354,9 @@ class TestBlockedReduction:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_threads_keep_their_own_buffers(self):
-        # the block buffers outlive a call; two threads scanning different
-        # balls at once must not write into each other's
+    def test_concurrent_calls_match_serial_calls(self):
+        # the oracle shares nothing writable across calls: two threads
+        # scanning different balls at once get the serial values
         c = Contract(0.1, FIXED_MARGIN)
         balls = [Ball(Forecast([0.5, 0.5]), 0.4), Ball(Forecast([0.4, 0.6]), 0.3)] * 4
         serial = [oracle_maxmin(b, c, grid_k=2000).value for b in balls]

@@ -13,6 +13,7 @@ from expert_screening import (
     mixed_mean,
     project_to_simplex,
     sample_simplex_uniform,
+    simplex,
     validate_forecast,
 )
 from expert_screening.errors import (
@@ -209,16 +210,18 @@ class TestGridEnumerate:
             assert len(grid_enumerate(space, k)) == math.comb(k + n - 1, n - 1)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (2, 9), (3, 7), (4, 6), (5, 4), (8, 3)])
-    def test_matches_reference(self, n, k):
+    def test_matches_reference(self, n, k, monkeypatch):
         space = _space(n)
         ref = _reference_grid(n, k)
         grid = grid_enumerate(space, k)
         assert grid.shape == ref.shape == (math.comb(k + n - 1, n - 1), n)
         # same order and the same bits
         assert np.array_equal(grid.view(np.uint64), ref.view(np.uint64))
+        monkeypatch.setattr(simplex, "GRID_CAP", len(ref) - 1)
         with pytest.raises(ResolutionTooLarge):
-            grid_enumerate(space, k, cap=len(ref) - 1)
-        assert len(grid_enumerate(space, k, cap=len(ref))) == len(ref)
+            grid_enumerate(space, k)
+        monkeypatch.setattr(simplex, "GRID_CAP", len(ref))
+        assert len(grid_enumerate(space, k)) == len(ref)
 
     # the oracle's grids at n = 2..8 (about 3000 points each), a ball grid's
     # size (3, 53), and k = 1, whose rows are the vertices

@@ -91,6 +91,22 @@ class TestScenario:
                 seed=0,
             )
 
+    def test_rejects_shared_expert_id(self):
+        # the expected roles are keyed by id, so a shared id would score a
+        # correctly screened informed/uninformed pair as wrong
+        with pytest.raises(InvalidScenario, match="ids must be distinct"):
+            Scenario(
+                states=SPACE2,
+                nature=Forecast([0.7, 0.3]),
+                experts=(
+                    ExpertSpec(id="x", kind="informed"),
+                    ExpertSpec(id="x", kind="uninformed", theta=VERTICES, announce="chebyshev"),
+                ),
+                contract_config=Prop1Config(policy=SAFE_EPSILON, witnesses=(FX, FY)),
+                trials=10,
+                seed=0,
+            )
+
     def test_rejects_bad_trials(self):
         for trials in (0, True):
             with pytest.raises(InvalidScenario, match="trials"):
