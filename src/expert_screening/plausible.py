@@ -24,8 +24,8 @@ from .simplex import (
     StateSpace,
     dist_sq_rows,
     grid_enumerate,
-    l2_dist_sq,
     project_to_simplex,  # unused; bench/tracing.py rebinds it here
+    renormalized,
     sample_simplex_uniform,  # unused; bench/tracing.py rebinds it here
 )
 
@@ -141,8 +141,7 @@ def _ball_grid(ball):
     these."""
     grid, pairs = _ball_simplex(ball.n)
     p = ball.center.probs + ball.radius * pairs / math.sqrt(2.0)
-    p = np.clip(p[p.min(axis=1) >= -1e-12], 0.0, None)
-    return np.vstack([grid[members(ball, grid)], p / p.sum(axis=1, keepdims=True),
+    return np.vstack([grid[members(ball, grid)], renormalized(p[p.min(axis=1) >= -1e-12]),
                       ball.center.probs])
 
 
@@ -189,22 +188,22 @@ def lex_farthest(rows, d):
     return int(ties[np.lexsort(rows[ties].T[::-1])[0]])
 
 
-def farthest_point(theta, point):
-    """Farthest element of theta from `point` (a Forecast), with distance^2.
+def farthest_point(theta, x):
+    """Farthest point of theta from the row x, as (row, distance^2).
 
-    On a finite set it is the forecast of row i = lex_farthest(theta.points,
+    On a finite set it is theta.points[i] for i = lex_farthest(theta.points,
     d), whose distance^2 d[i] is within 1e-12 of the largest. On a ball B it
     is exact: a vertex of Δ inside B, or on a face F of Δ the point of the
-    sphere B ∩ aff(F) opposite x (both points on an edge). The full face
-    goes first; its antipode wins if it lies on the simplex.
+    sphere B ∩ aff(F) opposite x (both points on an edge), renormalized.
+    The full face goes first; its antipode wins if it lies on the simplex.
     """
-    if theta.n != point.n:
-        raise LengthMismatch(f"forecast on {point.n} states, plausible set on {theta.n}")
+    if theta.n != len(x):
+        raise LengthMismatch(f"point on {len(x)} states, plausible set on {theta.n}")
     if isinstance(theta, FiniteSet):
-        d = dist_sq_rows(theta.points, point.probs)
+        d = dist_sq_rows(theta.points, x)
         i = lex_farthest(theta.points, d)
-        return theta.forecasts[i], float(d[i])
-    c, x, r = theta.center.probs, point.probs, theta.radius
+        return theta.points[i], float(d[i])
+    c, r = theta.center.probs, theta.radius
     delta = c - x
     cand = c + r * _unit(delta - delta.sum() / theta.n, _tie_direction(theta.n))
     if cand.min() < -NEG_TOL:
@@ -220,8 +219,8 @@ def farthest_point(theta, point):
         cand = np.vstack([c_face[ok] + step, c_face[ok] - step, inside])
         cand = cand[cand.min(axis=1) >= -NEG_TOL]
         cand = cand[int(np.argmax(dist_sq_rows(cand, x)))]
-    far = Forecast(np.clip(cand, 0.0, None))
-    return far, l2_dist_sq(far, point)
+    far = renormalized(cand)
+    return far, float(np.dot(far - x, far - x))
 
 
 def diameter_sq(theta):
@@ -314,25 +313,26 @@ def chebyshev(theta):
     pivot walk from that center (_grow_support) solves the ball of the
     support and the new point exactly. The support ball's radius^2 bounds
     theta's from below, the farthest distance^2 (radius_sq) from above;
-    certified within GAP_TOL.
+    certified within GAP_TOL. Rounds run on rows; Forecasts are built on return.
     """
     if isinstance(theta, Ball) and theta.is_uncut():
-        center = Forecast(theta.center.probs)
-        far, _ = farthest_point(theta, center)
+        x = renormalized(theta.center.probs)
+        far, _ = farthest_point(theta, x)
         r2 = theta.radius**2
-        return ChebyshevResult(center, r2, 0, True, r2, far)
+        return ChebyshevResult(Forecast.from_row(x), r2, 0, True, r2,
+                               Forecast.from_row(far))
     first = theta.points[0] if isinstance(theta, FiniteSet) else theta.center.probs
     support, c, lower = first[None], first, 0.0
     for rounds in range(1, MAX_ROUNDS + 1):
-        center = Forecast(c)
-        far, upper = farthest_point(theta, center)
-        if upper - lower <= GAP_TOL:
-            return ChebyshevResult(center, upper, rounds, True, lower, far)
-        grown = _grow_support(support, far.probs, c)
+        x = renormalized(c)
+        far, upper = farthest_point(theta, x)
+        certified = upper - lower <= GAP_TOL
+        grown = None if certified else _grow_support(support, far, c)
         if grown is None:
             break
         support, c, lower = grown
-    return ChebyshevResult(center, upper, rounds, False, lower, far)
+    return ChebyshevResult(Forecast.from_row(x), upper, rounds, certified, lower,
+                           Forecast.from_row(far))
 
 
 def sample_from(theta, rng, size=None):
@@ -374,10 +374,8 @@ def _ball_rows(ball, rng, k):
             x = c + (r * np.float_power(rng.random(m), 1.0 / (n - 1)) / norm)[:, None] * g
             ok = x.min(axis=1) >= 0.0
         else:
-            x = rng.standard_exponential((m, n))
-            x /= x.sum(axis=1, keepdims=True)
-        np.clip(x, 0.0, None, out=x)
-        x /= x.sum(axis=1, keepdims=True)
+            x = renormalized(rng.standard_exponential((m, n)))
+        x = renormalized(x)
         if not from_ball:
             ok = members(ball, x)
         out[empty[ok]] = x[ok]

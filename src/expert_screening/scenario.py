@@ -10,9 +10,6 @@ import math
 from .errors import InvalidScenario, ScreeningError
 from .simplex import Forecast, StateSpace, validate_forecast
 from .simulation import (
-    ANNOUNCE_CHEBYSHEV,
-    ANNOUNCE_SAMPLE,
-    ANNOUNCE_TRUTH,
     ExpertSpec,
     Prop1Config,
     Prop2Config,
@@ -78,16 +75,11 @@ def _parse_theta(obj, space, where):
 
 
 def _parse_announce(raw, space, where):
-    if raw is None:
-        return None
-    if raw in (ANNOUNCE_TRUTH, ANNOUNCE_CHEBYSHEV, ANNOUNCE_SAMPLE):
-        return raw
+    """A fixed forecast; anything else goes to ExpertSpec, which checks it."""
     if isinstance(raw, dict):
         _require_keys(raw, {"fixed"}, where)
         return _forecast(raw.get("fixed"), space, f"{where}.fixed")
-    raise InvalidScenario(
-        f"{where}: must be 'truth', 'chebyshev', 'sample', or {{'fixed': [...]}}"
-    )
+    return raw
 
 
 def _parse_expert(obj, space, idx):
@@ -99,8 +91,6 @@ def _parse_expert(obj, space, idx):
     kind = obj.get("kind")
     theta = _parse_theta(obj["theta"], space, f"{where}.theta") if "theta" in obj else None
     announce = _parse_announce(obj.get("announce"), space, f"{where}.announce")
-    if announce is None:
-        announce = ANNOUNCE_TRUTH if kind == "informed" else ANNOUNCE_CHEBYSHEV
     return ExpertSpec(id=eid, kind=kind, theta=theta, announce=announce)
 
 
@@ -191,11 +181,22 @@ def parse_scenario(obj):
     )
 
 
+def _unique_keys(pairs):
+    """json object_pairs_hook: a key given twice is an error, not the last
+    value silently winning."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidScenario(f"file: duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path):
     """Read and parse a scenario file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InvalidScenario(f"file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit

@@ -57,17 +57,16 @@ class Forecast:
         s = float(p.sum())
         if not abs(s - 1.0) <= SUM_TOL:
             raise NotNormalized(f"forecast sums to {s}, not 1")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
+        p = renormalized(p)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
     @classmethod
     def from_row(cls, row):
-        """A Forecast carrying the bits of `row`, a vector that is already a
-        normalized forecast (a grid_enumerate row, or another Forecast's
-        probs). The constructor would normalize it again, which can move
-        its last bit."""
+        """A Forecast carrying the bits of `row`, a vector that is already
+        renormalized (a grid_enumerate row, a solver's row, or another
+        Forecast's probs). The constructor would renormalize it again, which
+        can move its last bit."""
         f = object.__new__(cls)
         p = np.array(row, dtype=float)
         p.flags.writeable = False
@@ -116,6 +115,12 @@ class MixedStrategy:
     @property
     def n(self):
         return self.atoms[0][0].n
+
+
+def renormalized(p):
+    """Rows of p clipped at 0 and divided by their sums, unchecked: Forecast's rule."""
+    p = np.clip(p, 0.0, None)
+    return np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
 
 
 def _check_same_space(f, g):
@@ -171,13 +176,12 @@ def sample_simplex_uniform(space, rng):
 def grid_enumerate(space, resolution):
     """All forecasts with entries in {0, 1/k, ..., 1}, lexicographic order.
 
-    Returns a (C(k + n - 1, n - 1), n) float array, one forecast per row,
-    normalized once the way Forecast normalizes; raises ResolutionTooLarge
-    past GRID_CAP rows, read at call time, before allocating anything. Rows
-    are built from their prefix sums 0 <= s_0 <= ... <= s_{n-2} <= k, one
-    column at a time: each row so far is repeated once for every value from
-    its last sum up to k, which keeps the rows in lexicographic order; the
-    counts are the differences of consecutive sums.
+    Returns a (C(k + n - 1, n - 1), n) float array of renormalized rows;
+    raises ResolutionTooLarge past GRID_CAP rows, read at call time, before
+    allocating anything. Rows are built from their prefix sums 0 <= s_0 <=
+    ... <= s_{n-2} <= k, one column at a time: each row so far is repeated
+    once for every value from its last sum up to k, which keeps the rows in
+    lexicographic order; the counts are the differences of consecutive sums.
     """
     k = int(resolution)
     if k < 1:
@@ -196,9 +200,7 @@ def grid_enumerate(space, resolution):
         s = np.repeat(s, reps, axis=0)
         nxt = np.arange(len(s)) - np.repeat(start - last, reps)
         s = np.column_stack((s, nxt))
-    p = np.diff(s, axis=1, prepend=0, append=k) / k
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    return renormalized(np.diff(s, axis=1, prepend=0, append=k) / k)
 
 
 def project_to_simplex(v):

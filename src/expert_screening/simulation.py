@@ -35,6 +35,7 @@ PARTIAL = "partial"
 ANNOUNCE_TRUTH = "truth"
 ANNOUNCE_CHEBYSHEV = "chebyshev"
 ANNOUNCE_SAMPLE = "sample"
+ANNOUNCE_POLICIES = (ANNOUNCE_TRUTH, ANNOUNCE_CHEBYSHEV, ANNOUNCE_SAMPLE)
 
 BLOCK = 4096                   # trials per counter-based stream
 RNG_LAYOUT = "philox-block-v3"
@@ -45,13 +46,21 @@ class ExpertSpec:
     id: str
     kind: str                      # informed | uninformed | partial
     theta: object = None           # FiniteSet | Ball for non-informed kinds
-    announce: object = ANNOUNCE_TRUTH  # policy name or a fixed Forecast
+    announce: object = None        # policy name or a fixed Forecast; None: by kind
 
     def __post_init__(self):
         if self.kind not in (INFORMED, UNINFORMED, PARTIAL):
             raise InvalidScenario(
                 f"expert {self.id}: kind must be 'informed', 'uninformed', or 'partial'"
             )
+        if self.announce is None:
+            default = ANNOUNCE_TRUTH if self.kind == INFORMED else ANNOUNCE_CHEBYSHEV
+            object.__setattr__(self, "announce", default)
+        if not isinstance(self.announce, Forecast) and not (
+            isinstance(self.announce, str) and self.announce in ANNOUNCE_POLICIES
+        ):
+            raise InvalidScenario(f"expert {self.id}: announce must be 'truth', "
+                                  "'chebyshev', 'sample', or {'fixed': [...]}")
         if self.kind == INFORMED:
             if self.theta is not None:
                 raise InvalidScenario(f"expert {self.id}: informed experts take no theta")

@@ -111,6 +111,38 @@ class TestScenarioParsing:
         assert sc.experts[0].announce == "truth"
         assert sc.experts[1].announce == "chebyshev"
 
+    def test_expert_spec_defaults_announce_by_kind(self):
+        theta = Ball(Forecast([0.5, 0.5]), 0.1)
+        assert ExpertSpec("i", "informed").announce == "truth"
+        assert ExpertSpec("u", "uninformed", theta=theta).announce == "chebyshev"
+        assert ExpertSpec("p", "partial", theta=theta).announce == "chebyshev"
+
+    @pytest.mark.parametrize("announce", ["bogus", "Truth", 3, [0.5, 0.5], {"fixed": [0.5, 0.5]}])
+    def test_expert_spec_rejects_unknown_announce(self, announce):
+        theta = Ball(Forecast([0.5, 0.5]), 0.1)
+        with pytest.raises(InvalidScenario, match="^expert u: announce must be"):
+            ExpertSpec("u", "uninformed", theta=theta, announce=announce)
+
+    @pytest.mark.parametrize("announce", ["bogus", 3, [0.7, 0.3]])
+    def test_unknown_announce_in_a_file_exits_1(self, announce, tmp_path, capsys):
+        obj = json.loads(json.dumps(TWO_POINT_SAFE))
+        obj["experts"][0]["announce"] = announce
+        assert main(["analyze", _write(tmp_path, obj)]) == 1
+        assert capsys.readouterr().err == (
+            "error: expert alice: announce must be 'truth', 'chebyshev', 'sample', "
+            "or {'fixed': [...]}\n")
+
+    def test_duplicate_key_exits_1(self, tmp_path, capsys):
+        # json.load would keep the last value
+        text = json.dumps(TWO_POINT_SAFE).replace('"trials": 500', '"trials": 500, "trials": 3')
+        assert text.count('"trials"') == 2
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: file: duplicate key 'trials'\n"
+
 
 class TestAnalyze:
     def test_safe_epsilon_reject(self, tmp_path, capsys):

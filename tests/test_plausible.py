@@ -122,7 +122,7 @@ class TestContains:
             with pytest.raises(LengthMismatch):
                 contains(theta, Forecast([1, 0, 0]))
             with pytest.raises(LengthMismatch):
-                farthest_point(theta, Forecast([1, 0, 0]))
+                farthest_point(theta, Forecast([1, 0, 0]).probs)
 
     @staticmethod
     def _near(rng, points, dist, spread):
@@ -197,8 +197,8 @@ class TestFarthestPointFinite:
         top = max(d)
         expect = min((f for f, x in zip(theta.forecasts, d) if x >= top - 1e-12),
                      key=lambda f: tuple(f.probs.tolist()))
-        far, d2 = farthest_point(theta, point)
-        assert far is expect
+        far, d2 = farthest_point(theta, point.probs)
+        assert far.tobytes() == expect.probs.tobytes()
         assert d2 == l2_dist_sq(expect, point)
         assert abs(d2 - top) <= 1e-12
 
@@ -215,6 +215,21 @@ class TestChebyshev:
         assert res.center == f
         assert res.radius_sq == 0.0
         assert res.certified
+
+    def test_validates_no_forecast(self, monkeypatch):
+        # the solve runs on rows; the result's Forecasts come from from_row
+        rng = np.random.default_rng(37)
+        thetas = [_random_finite_set(rng, 4, max_points=6),
+                  Ball(Forecast([0.3, 0.3, 0.4]), 0.1), _clipped_ball(rng, 4)]
+        calls = []
+        checked = Forecast.__post_init__
+        monkeypatch.setattr(Forecast, "__post_init__",
+                            lambda f: calls.append(f) or checked(f))
+        for theta in thetas:
+            res = chebyshev(theta)
+            assert res.certified
+            assert type(res.center) is Forecast and type(res.farthest) is Forecast
+        assert calls == []
 
     def test_uncut_ball(self):
         res = chebyshev(Ball(Forecast([0.5, 0.5]), 0.1))
@@ -272,9 +287,9 @@ class TestClippedBall:
             grid = grid[dist_sq_rows(grid, ball.center.probs) <= ball.radius**2]
             queries = [sample_simplex_uniform(_space(n), rng) for _ in range(3)]
             for x in queries + [ball.center, chebyshev(ball).center]:
-                far, d2 = farthest_point(ball, x)
-                assert contains(ball, far)
-                own = float(np.sum((far.probs - x.probs) ** 2))
+                far, d2 = farthest_point(ball, x.probs)
+                assert contains(ball, Forecast(far))
+                own = float(np.sum((far - x.probs) ** 2))
                 assert d2 == pytest.approx(own, abs=1e-15)
                 if len(grid):
                     assert float(dist_sq_rows(grid, x.probs).max()) <= d2 + 1e-12
@@ -306,8 +321,8 @@ class TestClippedBall:
         for _ in range(2000):
             ball = Ball(Forecast(0.125 + 0.5 * rng.dirichlet(np.ones(4))), 0.01)
             x = Forecast(ball.center.probs + 1e-15 * rng.standard_normal(4))
-            far, d2 = farthest_point(ball, x)
-            assert contains(ball, far)
+            far, d2 = farthest_point(ball, x.probs)
+            assert contains(ball, Forecast(far))
             gap = math.sqrt(float(np.sum((ball.center.probs - x.probs) ** 2)))
             assert d2 == pytest.approx((gap + ball.radius) ** 2, abs=1e-12)
 
@@ -430,12 +445,12 @@ class TestPivotStep:
         rng = np.random.default_rng(36)
         for theta in (_random_finite_set(rng, 4, max_points=6), _clipped_ball(rng, 4)):
             res = chebyshev(theta)
-            far, d2 = farthest_point(theta, res.center)
-            assert res.farthest == far and res.radius_sq == d2
+            far, d2 = farthest_point(theta, res.center.probs)
+            assert res.farthest.probs.tobytes() == far.tobytes() and res.radius_sq == d2
             assert res.lower <= res.radius_sq <= res.lower + plausible.GAP_TOL
         ball = Ball(Forecast([0.3, 0.3, 0.4]), 0.1)
         res = chebyshev(ball)
-        assert res.farthest == farthest_point(ball, res.center)[0]
+        assert res.farthest.probs.tobytes() == farthest_point(ball, res.center.probs)[0].tobytes()
         assert res.lower == res.radius_sq == 0.1**2
 
     @pytest.mark.parametrize("n", [12, 16])

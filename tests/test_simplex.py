@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     Forecast,
@@ -75,6 +76,45 @@ class TestValidateForecast:
         f = validate_forecast([0.5, 0.5], SPACE2)
         with pytest.raises(ValueError):
             f.probs[0] = 0.9
+
+
+@st.composite
+def _near_forecast_rows(draw):
+    """Rows that Forecast accepts but must still clip and divide: entries
+    down to -NEG_TOL and sums off 1 by up to SUM_TOL."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
+    raw = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                 min_size=m, max_size=m)))
+    raw[:, 0] += 1.0  # a positive sum to divide by
+    p = raw / raw.sum(axis=1, keepdims=True)
+    off = draw(st.lists(st.floats(-0.5, 0.5), min_size=m, max_size=m))
+    p *= 1.0 + np.array(off)[:, None] * simplex.SUM_TOL
+    # zero entries become 0, -0 or negatives down to -NEG_TOL
+    tiny = draw(st.lists(st.sampled_from([0.0, -0.0, -0.5, -1.0]), min_size=m * n,
+                         max_size=m * n))
+    return np.where(p == 0.0, np.array(tiny).reshape(m, n) * simplex.NEG_TOL, p)
+
+
+class TestRenormalized:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=_near_forecast_rows())
+    def test_has_the_bits_of_forecast(self, rows):
+        out = simplex.renormalized(rows)
+        for row, got in zip(rows, out):
+            want = Forecast(row).probs.tobytes()
+            assert got.tobytes() == want
+            assert simplex.renormalized(row).tobytes() == want
+            # the rule spelled out on the one row
+            clipped = np.clip(row, 0.0, None)
+            assert (clipped / clipped.sum()).tobytes() == want
+
+    def test_leaves_its_input_alone(self):
+        p = np.array([0.5 + 1e-10, -1e-13, 0.5])
+        before = p.tobytes()
+        simplex.renormalized(p)
+        assert p.tobytes() == before
 
 
 class TestL2DistSq:
