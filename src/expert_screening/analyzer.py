@@ -110,12 +110,16 @@ def _grid_members(theta, G, sq_g):
 
 
 def _adversary_candidates(theta, G, sq_g):
-    """Truths available to the oracle adversary, one row each: theta's own
-    exact points (witnesses / extremes) plus the rows of the grid G (squared
-    norms sq_g) that fall inside theta. A point may appear twice, which
-    changes neither a column maximum nor the lex_farthest worst truth."""
+    """Truths available to the oracle adversary and their squared norms,
+    (A, sq_a): theta's own exact points (witnesses / extremes) plus the rows
+    of the grid G (squared norms sq_g) that fall inside theta. A point may
+    appear twice, which changes neither a column maximum nor the
+    lex_farthest worst truth. The grid rows' norms are read from sq_g: a
+    row's sum along axis 1 has the same bits in any array."""
     own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
-    return np.vstack([own, G[_grid_members(theta, G, sq_g)]])
+    inside = _grid_members(theta, G, sq_g)
+    return (np.vstack([own, G[inside]]),
+            np.concatenate([np.sum(own**2, axis=1), sq_g[inside]]))
 
 
 def _build_grid(n, k):
@@ -149,7 +153,10 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
     and nothing outlives the call. Every block is full: the last one ends
     at len(A) and overlaps its predecessor, which leaves the maxima as they
     are; a one-row product would go to gemv, which rounds unlike the full
-    matrix's gemm. Clipping is monotone, so it commutes with the max.
+    matrix's gemm. Clipping is monotone, so it commutes with the max. A
+    block 64 or more times taller than wide takes each column's maximum on
+    its own: the reduction along axis 0 would cost about as much per row as
+    a wide one does, and a maximum is exact, so the bits are the same.
     Columns do not interact: a product of two or more of them (gemm) gives
     each column the bits it has in the full matrix, so the walk may run on
     any such subset of G's rows, as `_winning_columns` has it do."""
@@ -158,37 +165,60 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
     for start in range(0, len(A), rows):
         lo = min(start, len(A) - rows)
         d = sq_a[lo : lo + rows, None] + sq_g - 2.0 * (A[lo : lo + rows] @ G.T)
-        np.maximum(out, d.max(axis=0), out=out)
+        if rows >= 64 * len(G):
+            col_max = np.array([d[:, j].max() for j in range(len(G))])
+        else:
+            col_max = d.max(axis=0)
+        np.maximum(out, col_max, out=out)
     return np.clip(out, 0.0, None, out=out)
 
 
 def _winning_columns(A, sq_a, G, sq_g):
     """Ascending indices of the rows of G that can hold the first minimum of
     f = _column_max_dist_sq(A, sq_a, G, sq_g), at least two of them; None
-    (every row) when A has at most 2n rows.
+    (every row) when A has at most 2n rows, where the exact pass costs no
+    more than a bound would, or G at most two.
 
-    The 2n candidates P farthest from the candidates' centroid give a lower
-    bound LB(g) = max over P of ||p - g||^2 <= f(g), the column-side bound
-    of Hamerly's k-means. f* = min f over the two columns of smallest LB is
-    at least the minimum f_best, so every column with f <= f_best +
-    NORM_SLACK has LB <= f* + NORM_SLACK and is kept; a column left out has
-    f > f_best + NORM_SLACK and cannot tie margin - f_best after the
-    subtraction. Two columns at least, because a one-column product goes to
-    gemv and rounds unlike gemm. The pivots come from the candidates alone,
-    never from the exact path's Chebyshev center."""
+    Two lower bounds on f prune the columns; both come from the candidates
+    alone, never from the exact path's Chebyshev center. The mean bound is
+    the bias-variance identity applied to the candidates, with mean m and
+    mean squared spread V: f(g) >= mean over a of ||a - g||^2 = e(g) + V,
+    where e(g) = ||g - m||^2 is taken from the norms, |g|^2 - 2 g.m + |m|^2
+    (one gemv), and V = mean |a|^2 - |m|^2. f* = min f over the two columns
+    of smallest e, read exactly, is at least the minimum f_best, so every
+    column with f <= f_best + NORM_SLACK has e + V <= f* + NORM_SLACK and
+    is kept. On the survivors the pivot bound LB(g) = max over P of
+    ||p - g||^2 <= f(g), the column-side bound of Hamerly's k-means, prunes
+    again with the same test. Its 2n pivots P are the candidates at each
+    coordinate's minimum and maximum, so they lie on both sides of m in
+    every coordinate, and finding them needs no sort.
+
+    Rounding: e + V is |g|^2 - 2 g.m + mean |a|^2, the mean of the column,
+    and an m off by rounding moves it by about 1e-16, as the rounding of e,
+    V and LB does; NORM_SLACK is 1e-12. So a column left out has f > f_best
+    + NORM_SLACK and cannot tie margin - f_best after the subtraction. The
+    two seed columns are always kept, because a one-column product goes to
+    gemv and rounds unlike gemm."""
     n = A.shape[1]
     if len(A) <= 2 * n or len(G) <= 2:
         return None
-    rho = np.sum((A - A.mean(axis=0)) ** 2, axis=1)
-    P = np.argsort(-rho, kind="stable")[: 2 * n]
-    lb = _column_max_dist_sq(A[P], sq_a[P], G, sq_g)
-    first = int(np.argmin(lb))
-    lb_first, lb[first] = lb[first], np.inf
-    two = np.array(sorted((first, int(np.argmin(lb)))))
-    lb[first] = lb_first
-    f_star = _column_max_dist_sq(A, sq_a, G[two], sq_g[two]).min()
-    keep = np.flatnonzero(lb <= f_star + NORM_SLACK)
-    return keep if len(keep) >= 2 else two
+    m = np.full(len(A), 1.0 / len(A)) @ A
+    V = sq_a.mean() - m @ m
+    e = sq_g - 2.0 * (G @ m) + m @ m
+    first = int(np.argmin(e))
+    e_first, e[first] = e[first], np.inf
+    two = np.array(sorted((first, int(np.argmin(e)))))
+    e[first] = e_first
+    bound = _column_max_dist_sq(A, sq_a, G[two], sq_g[two]).min() + NORM_SLACK
+    keep = e + V <= bound
+    keep[two] = True
+    keep = np.flatnonzero(keep)
+    if len(keep) > 2:
+        P = np.concatenate([A.argmin(axis=0), A.argmax(axis=0)])
+        ok = _column_max_dist_sq(A[P], sq_a[P], G[keep], sq_g[keep]) <= bound
+        ok[np.searchsorted(keep, two)] = True
+        keep = keep[ok]
+    return keep
 
 
 def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
@@ -201,10 +231,12 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     follows lex_farthest, the tie rule of farthest_point. All grid rivals are
     also scanned to confirm that deviating from the truth never helps the
     adversary. The point-mass scan reads the candidate x grid distances
-    exactly only in the grid columns that can win (`_winning_columns`, a
-    lower bound from the 2n candidates farthest from their centroid), in
-    blocks, so memory is linear in the grid size; the winner and its value
-    are those of the full scan, bit for bit. Grid membership and the rival
+    exactly only in the grid columns that can win (`_winning_columns`: the
+    candidates' mean bound, then a bound from the candidates at each
+    coordinate's extremes), in blocks, so memory is linear in the grid size;
+    the winner and its value are those of the full scan, bit for bit. On
+    balls at n = 4 and 5 with grids of 39 711 and 316 251 points, two to
+    twenty columns are read exactly. Grid membership and the rival
     scan start from the grid's squared norms, one gemv per point, and decide
     again exactly the rows within rounding of a threshold or a minimum. The
     mixture scan builds the full matrix behind its own budget cap. The grid
@@ -213,8 +245,7 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     repeated calls at one (n, grid_k) build it once.
     """
     G, sq_g = _grid(theta.n, grid_k)                 # (num_grid, n), (num_grid,)
-    A = _adversary_candidates(theta, G, sq_g)        # (num_cand, n)
-    sq_a = np.sum(A**2, axis=1)
+    A, sq_a = _adversary_candidates(theta, G, sq_g)  # (num_cand, n), (num_cand,)
 
     keep = _winning_columns(A, sq_a, G, sq_g)
     G_k, sq_k = (G, sq_g) if keep is None else (G[keep], sq_g[keep])

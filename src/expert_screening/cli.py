@@ -15,7 +15,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .analyzer import (
     ACCEPT,
@@ -119,7 +121,70 @@ def _analyze_experts(sc, contracts):
 
 
 def _json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(report, sort_keys=True, indent=2) + "\n"`, the same
+    string. With an indent, json leaves its C encoder for a pure-Python
+    one. This writer takes json's branches (a bool before an int, since
+    bool is an int) and raises TypeError wherever json.dumps does."""
+    out = []
+    _write_value(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar_text(x):
+    """JSON text of None, a bool, an int or a float, as json writes it."""
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_value(obj, newline, out):
+    """Append obj's JSON text to out; newline is the line break plus the
+    indent of the line obj starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, (int, float)):
+        out.append(_scalar_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _write_value(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            sep = "," + inner
+            _write_value(value, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(out, warnings):

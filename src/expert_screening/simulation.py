@@ -25,7 +25,7 @@ import numpy as np
 from .analyzer import ACCEPT, REJECT, informed_guarantee, uninformed_maxmin
 from .contracts import make_prop1_contract, make_prop2_contracts, realized_payoff
 from .errors import InvalidScenario
-from .plausible import Ball, chebyshev, sample_from
+from .plausible import Ball, FiniteSet, chebyshev, sample_from
 from .simplex import Forecast, StateSpace, sample_simplex_uniform
 
 INFORMED = "informed"
@@ -69,7 +69,7 @@ class ExpertSpec:
                     f"expert {self.id}: informed experts must announce the truth"
                 )
         else:
-            if self.theta is None:
+            if not isinstance(self.theta, (FiniteSet, Ball)):
                 raise InvalidScenario(
                     f"expert {self.id}: theta required for kind '{self.kind}'"
                 )
@@ -116,8 +116,27 @@ class Scenario:
             raise InvalidScenario("trials: must be a positive integer")
         if type(self.seed) is not int or not 0 <= self.seed < 2**128:
             raise InvalidScenario("seed: must be an integer in [0, 2**128)")
-        if self.nature != "uniform" and not isinstance(self.nature, Forecast):
+        # isinstance first: an array compared with "uniform" has no truth value
+        n = self.states.n
+        if isinstance(self.nature, Forecast):
+            if self.nature.n != n:
+                raise InvalidScenario(f"nature: a forecast on {self.nature.n} states, "
+                                      f"the scenario has {n}")
+        elif not (isinstance(self.nature, str) and self.nature == "uniform"):
             raise InvalidScenario("nature: must be 'uniform' or a fixed forecast")
+        for e in self.experts:
+            if e.theta is not None and e.theta.n != n:
+                raise InvalidScenario(f"expert {e.id}: theta on {e.theta.n} states, "
+                                      f"the scenario has {n}")
+            if isinstance(e.announce, Forecast) and e.announce.n != n:
+                raise InvalidScenario(f"expert {e.id}: a fixed announcement on "
+                                      f"{e.announce.n} states, the scenario has {n}")
+        if isinstance(self.contract_config, Prop1Config):
+            witnesses = self.contract_config.witnesses
+            if len(witnesses) != 2 or not all(isinstance(w, Forecast) and w.n == n
+                                              for w in witnesses):
+                raise InvalidScenario(f"contract.witnesses: expected 2 forecasts on "
+                                      f"the scenario's {n} states")
 
 
 @dataclass

@@ -258,15 +258,18 @@ class TestBlockedReduction:
 
     # the exact walk reads every candidate in 2 grid columns: 2 of 3001 for
     # the audit's largest ball (4278 candidates) and 2 of 316 251 for the
-    # CLI default k = 50 on an n = 5 ball (7247 candidates); before it, the
-    # lower bound reads 2n candidates in every column and f* all of them in
-    # two columns
-    @pytest.mark.parametrize("theta,k,num_cand,num_grid", [
+    # CLI default k = 50 on an n = 5 ball (7247 candidates); before it, f*
+    # reads all candidates in the two columns nearest their mean, and the
+    # pivot bound reads 2n candidates in the columns that the mean bound
+    # keeps (2327 and 801)
+    @pytest.mark.parametrize("theta,k,num_cand,num_grid,survivors", [
         pytest.param(Ball(Forecast([0.5, 0.5]), 0.95 * 0.5 / math.sqrt(0.5)), 3000, 4278, 3001,
-                     id="largest_ball"),
-        pytest.param(Ball(Forecast(np.full(5, 0.2)), 0.15), 50, 7247, 316251, id="n5_ball_k50"),
+                     2327, id="largest_ball"),
+        pytest.param(Ball(Forecast(np.full(5, 0.2)), 0.15), 50, 7247, 316251, 801,
+                     id="n5_ball_k50"),
     ])
-    def test_exact_walk_reads_two_columns(self, theta, k, num_cand, num_grid, monkeypatch):
+    def test_exact_walk_reads_two_columns(self, theta, k, num_cand, num_grid, survivors,
+                                          monkeypatch):
         calls = []
         column_max = analyzer._column_max_dist_sq
 
@@ -278,12 +281,12 @@ class TestBlockedReduction:
         c = Contract(0.1, FIXED_MARGIN)
         report = oracle_maxmin(theta, c, grid_k=k)
         monkeypatch.undo()
-        assert calls == [(2 * theta.n, num_grid), (num_cand, 2), (num_cand, 2)]
+        assert calls == [(num_cand, 2), (2 * theta.n, survivors), (num_cand, 2)]
         if num_grid * num_cand <= 2 * 10**7:
             # every column read, in blocks: the unpruned scan
             G, sq_g = analyzer._grid(theta.n, k)
-            A = analyzer._adversary_candidates(theta, G, sq_g)
-            pm = c.margin - column_max(A, np.sum(A**2, axis=1), G, sq_g)
+            A, sq_a = analyzer._adversary_candidates(theta, G, sq_g)
+            pm = c.margin - column_max(A, sq_a, G, sq_g)
             j = int(np.argmax(pm))
             assert report.value == pm[j]
             assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, G[j])
@@ -312,6 +315,32 @@ class TestBlockedReduction:
             report = oracle_maxmin(theta, c, grid_k=k)
         assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
         self._report_equals(report, value, strategy, worst, details)
+
+    # balls on which the 2n candidates farthest from the centroid all lie on
+    # one side of it, so that pivots chosen that way keep 10 372, 20 065 and
+    # 63 929 columns; the mean bound surrounds the centroid by construction
+    @pytest.mark.parametrize("center,radius,k,kept", [
+        pytest.param([0.1, 0.2, 0.3, 0.4], 0.3, 60, 20, id="clipped_n4_k60"),
+        pytest.param([0.25] * 4, 0.3, 60, 2, id="barycentric_n4_k60"),
+        pytest.param([0.2] * 5, 0.2, 50, 2, id="barycentric_n5_k50"),
+    ])
+    def test_kept_columns(self, center, radius, k, kept):
+        theta = Ball(Forecast(center), radius)
+        G, sq_g = analyzer._grid(theta.n, k)
+        A, sq_a = analyzer._adversary_candidates(theta, G, sq_g)
+        assert len(analyzer._winning_columns(A, sq_a, G, sq_g)) == kept
+
+    @pytest.mark.parametrize("num_cand", [2, 100, 3000])
+    def test_narrow_blocks_equal_full_matrix(self, num_cand):
+        # one to nine columns: per-column maxima on a tall block, the
+        # reduction along axis 0 on a short one
+        rng = np.random.default_rng(52)
+        A = rng.dirichlet(np.ones(4), size=num_cand)
+        for width in range(1, 10):
+            G = rng.dirichlet(np.ones(4), size=width)
+            args, full = _full_column_max(A, G)
+            out = analyzer._column_max_dist_sq(*args)
+            assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
 
     def test_near_ties_equal_full_matrix(self):
         # inputs built to round: sets closed under permuting the states,
@@ -373,8 +402,10 @@ class TestGridMembers:
     def _assert_members(theta, n, k):
         G, sq_g = analyzer._grid(n, k)
         assert np.array_equal(analyzer._grid_members(theta, G, sq_g), members(theta, G))
-        A = analyzer._adversary_candidates(theta, G, sq_g)
+        A, sq_a = analyzer._adversary_candidates(theta, G, sq_g)
         assert np.array_equal(A.view(np.uint64), _members_candidates(theta, G).view(np.uint64))
+        # the grid rows' norms come from sq_g with the bits of a fresh sum
+        assert np.array_equal(sq_a.view(np.uint64), np.sum(A**2, axis=1).view(np.uint64))
 
     @pytest.mark.parametrize("n,k", [(2, 40), (3, 12), (5, 6)])
     def test_ball_radius_at_a_grid_distance(self, n, k):

@@ -4,7 +4,9 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     Ball,
@@ -433,6 +435,50 @@ def test_parser_is_built_once_and_shared(monkeypatch, capsys):
     with_flag, without = (json.loads(out)["experts"][1]["oracle"] for _, out, _ in shared[:2])
     assert "best_mixture_value" in with_flag
     assert "best_mixture_value" not in without
+
+
+_REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(),
+    st.sampled_from(["", "é", "\u2028", "\x00", "\U0001f600", "\\\"", "\ud800"]),
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_REPORTS)
+def test_report_writer_equals_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(3), np.bool_(True), {1, 2}, b"x", [np.float32(0.5)], {"a": [1, object()]},
+    {(1, 2): 0}, {"a": 0, 1: 0}, {None: 0, "a": 1},
+])
+def test_report_writer_raises_where_json_dumps_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 0, 2.5: 1, -3: 2}, {True: 0}, {None: 1}, {float("nan"): 0}])
+def test_report_writer_non_string_keys(obj):
+    assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _bench_tracing():

@@ -17,6 +17,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = GOLDEN.parent.parent / "demos" / "scenarios"
 CLIPPED = str(GOLDEN / "clipped_ball_n3.json")
 UNIFORM = str(GOLDEN / "uniform_n6.json")
+CONCENTRIC = str(GOLDEN / "concentric_n5.json")
 
 RUNS = {}
 for _name in ("prop1_paper", "prop1_safe", "prop2_balls"):
@@ -28,6 +29,9 @@ for _name in ("prop1_paper", "prop1_safe", "prop2_balls"):
 # ball grid behind the oracle
 RUNS["analyze-clipped_ball_n3"] = ["analyze", CLIPPED]
 RUNS["oracle-clipped_ball_n3"] = ["oracle", CLIPPED, "--grid-k", "20"]
+# two concentric balls at the n = 5 barycenter on the default k = 50 grid of
+# 316 251 points: the oracle's column pruning on a large grid
+RUNS["oracle-concentric_n5"] = ["oracle", CONCENTRIC]
 # 9000 trials span two full blocks and a short third one; the n=6 run draws
 # a uniform nature against a fixed announcement from an uncut ball
 for _name in ("prop1_safe", "prop2_balls"):

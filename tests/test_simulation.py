@@ -43,6 +43,9 @@ SPACE2 = StateSpace(("up", "down"))
 FX = Forecast([1, 0])
 FY = Forecast([0, 1])
 VERTICES = FiniteSet((FX, FY))
+SPACE3 = StateSpace(("a", "b", "c"))
+F3 = Forecast([0.5, 0.3, 0.2])
+BALL3 = Ball(F3, 0.1)
 
 
 def _prop1_scenario(trials=1000, seed=7, policy=SAFE_EPSILON):
@@ -77,6 +80,8 @@ class TestExpertSpec:
     def test_uninformed_requires_theta(self):
         with pytest.raises(InvalidScenario):
             ExpertSpec(id="x", kind="uninformed", announce="chebyshev")
+        with pytest.raises(InvalidScenario, match="theta required"):
+            ExpertSpec(id="x", kind="uninformed", theta=FX, announce="chebyshev")
 
 
 class TestScenario:
@@ -117,6 +122,49 @@ class TestScenario:
             with pytest.raises(InvalidScenario, match="seed"):
                 _prop1_scenario(seed=seed)
         run_tournament(_prop1_scenario(trials=10, seed=2**128 - 1))
+
+    # a scenario built in process is checked against its state count, as a
+    # scenario file is when it is parsed
+    def _n3_scenario(self, nature=F3, theta=BALL3, announce="chebyshev", witnesses=None):
+        return Scenario(
+            states=SPACE3,
+            nature=nature,
+            experts=(
+                ExpertSpec(id="sharp", kind="partial", theta=BALL3),
+                ExpertSpec(id="wide", kind="uninformed", theta=theta, announce=announce),
+            ),
+            contract_config=(Prop2Config(eps1=0.1, eps2=0.2, gamma=0.02) if witnesses is None
+                             else Prop1Config(policy=SAFE_EPSILON, witnesses=witnesses)),
+            trials=10,
+            seed=0,
+        )
+
+    def test_accepts_matching_state_counts(self):
+        run_tournament(self._n3_scenario(nature="uniform", announce=F3,
+                                         witnesses=(F3, Forecast([0.2, 0.3, 0.5]))))
+
+    def test_rejects_theta_on_other_states(self):
+        with pytest.raises(InvalidScenario, match="theta on 2 states"):
+            self._n3_scenario(theta=Ball(Forecast([0.5, 0.5]), 0.1))
+        with pytest.raises(InvalidScenario, match="theta on 2 states"):
+            self._n3_scenario(theta=VERTICES)
+
+    def test_rejects_array_nature(self):
+        with pytest.raises(InvalidScenario, match="nature"):
+            self._n3_scenario(nature=np.array([0.5, 0.3, 0.2]))
+
+    def test_rejects_nature_on_other_states(self):
+        with pytest.raises(InvalidScenario, match="nature: a forecast on 2 states"):
+            self._n3_scenario(nature=FX)
+
+    def test_rejects_fixed_announcement_on_other_states(self):
+        with pytest.raises(InvalidScenario, match="fixed announcement on 2 states"):
+            self._n3_scenario(announce=FX)
+
+    def test_rejects_witnesses_on_other_states(self):
+        for witnesses in ((FX, FY), (F3,), (F3, F3, F3)):
+            with pytest.raises(InvalidScenario, match="witnesses"):
+                self._n3_scenario(witnesses=witnesses)
 
 
 class TestSampleState:
