@@ -45,7 +45,7 @@ for policy in (SAFE_EPSILON, PAPER_EPSILON):
     print(f"  uninformed maxmin (oracle k=50): {oracle.value:+.4f}  -> {oracle.decision}")
     if exact.decision == "accept":
         print("  screening FAILS at this margin: the best reply is a point mass")
-        print(f"  at the chebyshev center, {exact.optimal_strategy.atoms[0][0].probs.tolist()}")
+        print(f"  at the chebyshev center, {exact.optimal_strategy.probs.tolist()}")
     else:
         print("  screening holds: worst case is the truth at "
               f"{exact.worst_case_truth.probs.tolist()}")

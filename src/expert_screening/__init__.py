@@ -43,11 +43,9 @@ from .scoring import (
 )
 from .simplex import (
     Forecast,
-    MixedStrategy,
     StateSpace,
     grid_enumerate,
     l2_dist_sq,
-    mixed_mean,
     project_to_simplex,
     sample_simplex_uniform,
     validate_forecast,

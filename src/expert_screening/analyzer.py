@@ -23,8 +23,8 @@ from .plausible import (
 from .errors import ResolutionTooLarge
 from .simplex import (
     Forecast,
-    MixedStrategy,
     StateSpace,
+    _resolution,
     grid_enumerate,
     l2_dist_sq,
 )
@@ -40,8 +40,12 @@ NORM_SLACK = 1e-12      # oracle: bound on the rounding of a squared distance ta
 
 @dataclass
 class MaxminReport:
+    """A maxmin analysis. optimal_strategy is a point mass, the one forecast
+    announced, which is optimal by Lemma 1: the variance of a mixture only
+    adds to the adversary's payoff."""
+
     value: float
-    optimal_strategy: MixedStrategy
+    optimal_strategy: Forecast
     worst_case_truth: Forecast
     decision: str
     method: str  # "exact" | "oracle"
@@ -76,7 +80,7 @@ def uninformed_maxmin(theta, c):
     value = c.margin - res.radius_sq
     return MaxminReport(
         value=value,
-        optimal_strategy=MixedStrategy(((res.center, 1.0),)),
+        optimal_strategy=res.center,
         worst_case_truth=res.farthest,
         decision=ACCEPT if value > 0 else REJECT,
         method="exact",
@@ -138,9 +142,10 @@ def _grid(n, k):
     """`_build_grid(n, k)`. A grid of at most BLOCK_ENTRIES entries (512 KiB)
     is built once per process and then shared, by threads too; a larger one
     is built for the call and not kept, and one past GRID_CAP raises
-    ResolutionTooLarge before anything is allocated."""
-    k = int(k)
-    if k >= 1 and math.comb(k + n - 1, n - 1) * n <= BLOCK_ENTRIES:
+    ResolutionTooLarge before anything is allocated; a k that is no integer
+    >= 1 raises grid_enumerate's ValueError before anything is built."""
+    k = _resolution(k)
+    if math.comb(k + n - 1, n - 1) * n <= BLOCK_ENTRIES:
         return _cached_grid(n, k)
     return _build_grid(n, k)
 
@@ -253,7 +258,6 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     i = int(np.argmax(pm_values))                    # first occurrence: deterministic
     best_j = i if keep is None else int(keep[i])
     best_value = float(pm_values[i])
-    best_strategy = MixedStrategy(((Forecast.from_row(G[best_j]), 1.0),))
 
     details = {"grid_k": grid_k, "margin": c.margin, "best_point_mass_value": best_value}
 
@@ -293,7 +297,7 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
 
     return MaxminReport(
         value=best_value,
-        optimal_strategy=best_strategy,
+        optimal_strategy=Forecast.from_row(G[best_j]),
         worst_case_truth=worst_truth,
         decision=ACCEPT if best_value > 0 else REJECT,
         method="oracle",

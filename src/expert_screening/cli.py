@@ -100,7 +100,7 @@ def _analyze_experts(sc, contracts):
         if report is not None:
             radius_sq = report.details["chebyshev_radius_sq"]
             entry["chebyshev"] = {
-                "center": _forecast_list(report.optimal_strategy.atoms[0][0]),
+                "center": _forecast_list(report.optimal_strategy),
                 "radius_sq": radius_sq,
                 "certified": report.certified,
                 "method": "exact",

@@ -68,10 +68,12 @@ def make_prop2_contracts(eps1, eps2, gamma):
     eps1, eps2, gamma = float(eps1), float(eps2), float(gamma)
     if not 0 < eps1 < eps2:
         raise InvalidRadii(f"need 0 < eps1 < eps2, got {eps1}, {eps2}")
-    if not eps1**2 < gamma < eps2**2:
-        raise InvalidGamma(
-            f"gamma {gamma} outside open interval ({eps1**2}, {eps2**2})"
-        )
+    try:
+        lo, hi = eps1**2, eps2**2
+    except OverflowError:
+        raise InvalidRadii(f"eps2 = {eps2} has no finite square") from None
+    if not lo < gamma < hi:
+        raise InvalidGamma(f"gamma {gamma} outside open interval ({lo}, {hi})")
     c1 = Contract(gamma, GAMMA_COMPARATIVE)
     c2 = Contract(gamma, GAMMA_COMPARATIVE)
     return c1, c2

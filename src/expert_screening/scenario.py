@@ -5,7 +5,6 @@ rejected with the offending key name, and every number must be finite.
 """
 
 import json
-import math
 
 from .errors import InvalidScenario, ScreeningError
 from .simplex import Forecast, StateSpace, validate_forecast
@@ -14,6 +13,7 @@ from .simulation import (
     Prop1Config,
     Prop2Config,
     Scenario,
+    _finite_number,
 )
 from .plausible import Ball, FiniteSet
 from .contracts import FIXED_MARGIN, PAPER_EPSILON, SAFE_EPSILON
@@ -28,18 +28,6 @@ def _require_keys(obj, allowed, where):
     for k in obj:
         if k not in allowed:
             raise InvalidScenario(f"{where}: unknown key '{k}'")
-
-
-def _finite_number(x, where):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InvalidScenario(f"{where}: expected a number")
-    try:
-        value = float(x)  # an int past float range raises OverflowError
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise InvalidScenario(f"{where}: number must be finite")
-    return value
 
 
 def _forecast(raw, space, where):
@@ -85,13 +73,9 @@ def _parse_announce(raw, space, where):
 def _parse_expert(obj, space, idx):
     where = f"experts[{idx}]"
     _require_keys(obj, _EXPERT_KEYS, where)
-    eid = obj.get("id")
-    if not isinstance(eid, str) or not eid:
-        raise InvalidScenario(f"{where}.id: expected a non-empty string")
-    kind = obj.get("kind")
     theta = _parse_theta(obj["theta"], space, f"{where}.theta") if "theta" in obj else None
     announce = _parse_announce(obj.get("announce"), space, f"{where}.announce")
-    return ExpertSpec(id=eid, kind=kind, theta=theta, announce=announce)
+    return ExpertSpec(id=obj.get("id"), kind=obj.get("kind"), theta=theta, announce=announce)
 
 
 def _parse_contract(obj, space):
@@ -126,11 +110,7 @@ def _parse_contract(obj, space):
         for key in ("eps1", "eps2", "gamma"):
             if key not in obj:
                 raise InvalidScenario(f"{where}.{key}: required for prop2 contracts")
-        return Prop2Config(
-            eps1=_finite_number(obj["eps1"], f"{where}.eps1"),
-            eps2=_finite_number(obj["eps2"], f"{where}.eps2"),
-            gamma=_finite_number(obj["gamma"], f"{where}.gamma"),
-        )
+        return Prop2Config(eps1=obj["eps1"], eps2=obj["eps2"], gamma=obj["gamma"])
     raise InvalidScenario(f"{where}.kind: must be 'prop1' or 'prop2'")
 
 

@@ -7,6 +7,7 @@ numpy Generators.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,32 +92,6 @@ class Forecast:
         return f"Forecast({self.probs.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class MixedStrategy:
-    """Finitely-supported distribution over forecasts."""
-
-    atoms: tuple  # of (Forecast, weight) pairs
-
-    def __post_init__(self):
-        atoms = tuple((f, float(w)) for f, w in self.atoms)
-        if not atoms:
-            raise ValueError("mixed strategy needs at least one atom")
-        n = atoms[0][0].n
-        if any(f.n != n for f, _ in atoms):
-            raise LengthMismatch("atoms live on different state spaces")
-        if any(not w > 0 for _, w in atoms):
-            raise ValueError("atom weights must be positive")
-        total = sum(w for _, w in atoms)
-        if abs(total - 1.0) > SUM_TOL:
-            raise NotNormalized(f"atom weights sum to {total}, not 1")
-        atoms = tuple((f, w / total) for f, w in atoms)
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def n(self):
-        return self.atoms[0][0].n
-
-
 def renormalized(p):
     """Rows of p clipped at 0 and divided by their sums, unchecked: Forecast's rule."""
     p = np.clip(p, 0.0, None)
@@ -159,18 +134,18 @@ def dist_sq_rows(points, x):
     return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
 
 
-def mixed_mean(xi):
-    """Barycenter of a mixed strategy; lies on the simplex by convexity."""
-    acc = np.zeros(xi.n)
-    for f, w in xi.atoms:
-        acc += w * f.probs
-    return Forecast(acc)
-
-
 def sample_simplex_uniform(space, rng):
     """Uniform draw from the simplex: normalized standard exponentials."""
     e = rng.standard_exponential(space.n)
     return Forecast(e / e.sum())
+
+
+def _resolution(k):
+    """k as an int if it is an integer >= 1, numpy's included; a bool, a
+    float or a string raises ValueError rather than being truncated."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"resolution must be an integer >= 1, got {k!r}")
+    return int(k)
 
 
 def grid_enumerate(space, resolution):
@@ -183,9 +158,7 @@ def grid_enumerate(space, resolution):
     once for every value from its last sum up to k, which keeps the rows in
     lexicographic order; the counts are the differences of consecutive sums.
     """
-    k = int(resolution)
-    if k < 1:
-        raise ValueError("resolution must be >= 1")
+    k = _resolution(resolution)
     n = space.n
     count = math.comb(k + n - 1, n - 1)
     if count > GRID_CAP:

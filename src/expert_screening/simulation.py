@@ -17,13 +17,14 @@ block order with the pairwise update of Chan, Golub & LeVeque (1979).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # unused here, but bench/tracing.py rebinds chebyshev, realized_payoff, sample_simplex_uniform
 from .analyzer import ACCEPT, REJECT, informed_guarantee, uninformed_maxmin
-from .contracts import make_prop1_contract, make_prop2_contracts, realized_payoff
+from .contracts import FIXED_MARGIN, make_prop1_contract, make_prop2_contracts, realized_payoff
 from .errors import InvalidScenario
 from .plausible import Ball, FiniteSet, chebyshev, sample_from
 from .simplex import Forecast, StateSpace, sample_simplex_uniform
@@ -41,6 +42,20 @@ BLOCK = 4096                   # trials per counter-based stream
 RNG_LAYOUT = "philox-block-v3"
 
 
+def _finite_number(x, where):
+    """x as a finite float; a bool, a non-number or an infinity raises
+    InvalidScenario naming `where`."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidScenario(f"{where}: expected a number")
+    try:
+        value = float(x)  # an int past float range raises OverflowError
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidScenario(f"{where}: number must be finite")
+    return value
+
+
 @dataclass(frozen=True)
 class ExpertSpec:
     id: str
@@ -49,7 +64,9 @@ class ExpertSpec:
     announce: object = None        # policy name or a fixed Forecast; None: by kind
 
     def __post_init__(self):
-        if self.kind not in (INFORMED, UNINFORMED, PARTIAL):
+        if not isinstance(self.id, str) or not self.id:
+            raise InvalidScenario(f"expert id: expected a non-empty string, got {self.id!r}")
+        if not isinstance(self.kind, str) or self.kind not in (INFORMED, UNINFORMED, PARTIAL):
             raise InvalidScenario(
                 f"expert {self.id}: kind must be 'informed', 'uninformed', or 'partial'"
             )
@@ -85,16 +102,41 @@ class ExpertSpec:
 
 @dataclass(frozen=True)
 class Prop1Config:
+    """Checked once, by building its contract; a ValueError names the field."""
+
     policy: str
     witnesses: tuple
     margin: float = None
 
+    def __post_init__(self):
+        if not isinstance(self.policy, str):
+            raise InvalidScenario("contract.policy: expected a policy name")
+        w = self.witnesses
+        if not (isinstance(w, tuple) and len(w) == 2
+                and all(isinstance(f, Forecast) for f in w)):
+            raise InvalidScenario("contract.witnesses: expected a pair of forecasts")
+        if self.margin is not None:
+            object.__setattr__(self, "margin", _finite_number(self.margin, "contract.margin"))
+        try:
+            make_prop1_contract(*w, self.policy, margin=self.margin)
+        except ValueError as exc:
+            field = "margin" if self.policy == FIXED_MARGIN else "policy"
+            raise InvalidScenario(f"contract.{field}: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class Prop2Config:
+    """Checked once: finite numbers, stored as floats, that make contracts."""
+
     eps1: float
     eps2: float
     gamma: float
+
+    def __post_init__(self):
+        for name in ("eps1", "eps2", "gamma"):
+            value = _finite_number(getattr(self, name), f"contract.{name}")
+            object.__setattr__(self, name, value)
+        make_prop2_contracts(self.eps1, self.eps2, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -107,8 +149,14 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        if len(self.experts) != 2:
-            raise InvalidScenario("experts: exactly 2 experts required")
+        # isinstance checks only: dataclasses.replace runs these per tournament
+        if not isinstance(self.states, StateSpace):
+            raise InvalidScenario("states: expected a StateSpace")
+        if not (isinstance(self.experts, tuple) and len(self.experts) == 2
+                and all(isinstance(e, ExpertSpec) for e in self.experts)):
+            raise InvalidScenario("experts: exactly 2 experts required, a tuple of ExpertSpec")
+        if not isinstance(self.contract_config, (Prop1Config, Prop2Config)):
+            raise InvalidScenario("contract: expected a Prop1Config or a Prop2Config")
         if self.experts[0].id == self.experts[1].id:
             raise InvalidScenario("experts: ids must be distinct")
         # exact type checks, because bool is an int subclass
@@ -131,12 +179,10 @@ class Scenario:
             if isinstance(e.announce, Forecast) and e.announce.n != n:
                 raise InvalidScenario(f"expert {e.id}: a fixed announcement on "
                                       f"{e.announce.n} states, the scenario has {n}")
-        if isinstance(self.contract_config, Prop1Config):
-            witnesses = self.contract_config.witnesses
-            if len(witnesses) != 2 or not all(isinstance(w, Forecast) and w.n == n
-                                              for w in witnesses):
-                raise InvalidScenario(f"contract.witnesses: expected 2 forecasts on "
-                                      f"the scenario's {n} states")
+        if (isinstance(self.contract_config, Prop1Config)
+                and self.contract_config.witnesses[0].n != n):
+            raise InvalidScenario(f"contract.witnesses: expected 2 forecasts on "
+                                  f"the scenario's {n} states")
 
 
 @dataclass
@@ -234,9 +280,7 @@ def build_contracts(config):
         fx, fy = config.witnesses
         c = make_prop1_contract(fx, fy, config.policy, margin=config.margin)
         return c, c
-    if isinstance(config, Prop2Config):
-        return make_prop2_contracts(config.eps1, config.eps2, config.gamma)
-    raise InvalidScenario("contract: unknown contract configuration")
+    return make_prop2_contracts(config.eps1, config.eps2, config.gamma)
 
 
 def decide_acceptance(expert, contract):
@@ -294,7 +338,7 @@ def block_payoffs(sc, contracts, decisions):
         if isinstance(expert.announce, Forecast):
             static.append(expert.announce.probs)
         elif expert.announce == ANNOUNCE_CHEBYSHEV:
-            static.append(report.optimal_strategy.atoms[0][0].probs)
+            static.append(report.optimal_strategy.probs)
         else:
             static.append(None)
     sampled = [i for i, e in enumerate(sc.experts) if e.announce == ANNOUNCE_SAMPLE]

@@ -38,12 +38,10 @@ from .scoring import (
 )
 from .simplex import (
     Forecast,
-    MixedStrategy,
     StateSpace,
     dist_sq_rows,
     grid_enumerate,
     l2_dist_sq,
-    mixed_mean,
     sample_simplex_uniform,
 )
 from .simulation import ExpertSpec, Prop1Config, Scenario, run_tournament
@@ -147,15 +145,14 @@ def check_bias_variance_identity(quick):
         space = _space(n)
         m = int(rng.integers(1, 5))
         raw_w = rng.uniform(0.1, 1.0, size=m)
-        weights = raw_w / raw_w.sum()
-        atoms = tuple(
-            (sample_simplex_uniform(space, rng), float(w)) for w in weights
-        )
-        xi = MixedStrategy(atoms)
+        weights = (raw_w / raw_w.sum()).tolist()
+        weights = [w / sum(weights) for w in weights]
+        atoms = [sample_simplex_uniform(space, rng) for _ in weights]
         f = sample_simplex_uniform(space, rng)
-        mean = mixed_mean(xi)
-        lhs = sum(w * l2_dist_sq(f, a) for a, w in xi.atoms)
-        rhs = l2_dist_sq(f, mean) + sum(w * l2_dist_sq(mean, a) for a, w in xi.atoms)
+        mean = Forecast(sum(w * a.probs for a, w in zip(atoms, weights)))
+        lhs = sum(w * l2_dist_sq(f, a) for a, w in zip(atoms, weights))
+        rhs = l2_dist_sq(f, mean) + sum(w * l2_dist_sq(mean, a)
+                                        for a, w in zip(atoms, weights))
         worst = max(worst, abs(lhs - rhs))
     return worst <= 1e-12, f"max identity residual = {worst:.2e}"
 

@@ -18,6 +18,7 @@ from expert_screening import (
     PAPER_EPSILON,
     REJECT,
     SAFE_EPSILON,
+    chebyshev,
     grid_enumerate,
     informed_guarantee,
     l2_dist_sq,
@@ -109,12 +110,14 @@ class TestUninformedMaxmin:
         c = Contract(0.1, FIXED_MARGIN)
         report = uninformed_maxmin(VERTICES, c)
         assert report.method == "exact"
-        assert len(report.optimal_strategy.atoms) == 1
+        assert isinstance(report.optimal_strategy, Forecast)
+        center = chebyshev(VERTICES).center
+        assert report.optimal_strategy.probs.tobytes() == center.probs.tobytes()
 
     def test_worst_case_truth_is_farthest(self):
         c = Contract(0.1, FIXED_MARGIN)
         report = uninformed_maxmin(VERTICES, c)
-        center = report.optimal_strategy.atoms[0][0]
+        center = report.optimal_strategy
         d = l2_dist_sq(report.worst_case_truth, center)
         assert d == pytest.approx(report.details["chebyshev_radius_sq"], abs=1e-9)
         # lexicographically smallest of the two tied vertices
@@ -129,6 +132,19 @@ class TestUninformedMaxmin:
 
 
 class TestOracleMaxmin:
+    def test_grid_k_is_an_integer_of_at_least_one(self, monkeypatch):
+        theta = Ball(Forecast([0.5, 0.3, 0.2]), 0.1)
+        c = Contract(0.1, FIXED_MARGIN)
+        calls = []
+        monkeypatch.setattr(analyzer, "grid_enumerate", lambda *a: calls.append(a))
+        for grid_k in (1.5, True, "7", 0, -3):
+            with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
+                oracle_maxmin(theta, c, grid_k=grid_k)
+        assert calls == []
+        monkeypatch.undo()
+        report = oracle_maxmin(theta, c, grid_k=np.int64(7))
+        assert report.value == oracle_maxmin(theta, c, grid_k=7).value
+
     def test_safe_epsilon_two_vertices(self):
         c = make_prop1_contract(FX, FY, SAFE_EPSILON)
         report = oracle_maxmin(VERTICES, c, grid_k=50)
@@ -140,7 +156,7 @@ class TestOracleMaxmin:
         report = oracle_maxmin(VERTICES, c, grid_k=50)
         assert report.decision == ACCEPT
         assert abs(report.value - 0.5) <= 2.0 / 50
-        strategy = report.optimal_strategy.atoms[0][0]
+        strategy = report.optimal_strategy
         assert l2_dist_sq(strategy, Forecast([0.5, 0.5])) <= (2.0 / 50) ** 2
 
     def test_mixtures_never_beat_point_mass_beyond_grid_error(self):
@@ -252,7 +268,7 @@ class TestBlockedReduction:
     @staticmethod
     def _report_equals(report, value, strategy, worst, details):
         assert report.value == value
-        assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, strategy)
+        assert np.array_equal(report.optimal_strategy.probs, strategy)
         assert np.array_equal(report.worst_case_truth.probs, worst)
         assert report.details == details
 
@@ -289,11 +305,11 @@ class TestBlockedReduction:
             pm = c.margin - column_max(A, sq_a, G, sq_g)
             j = int(np.argmax(pm))
             assert report.value == pm[j]
-            assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, G[j])
+            assert np.array_equal(report.optimal_strategy.probs, G[j])
         else:
             # the barycenter is a grid point; the ball's surface points
             # along e_i - e_j are candidates
-            assert np.array_equal(report.optimal_strategy.atoms[0][0].probs, np.full(5, 0.2))
+            assert np.array_equal(report.optimal_strategy.probs, np.full(5, 0.2))
             assert abs(report.value - uninformed_maxmin(theta, c).value) <= 1e-8
 
     @settings(derandomize=True, max_examples=60, deadline=None)

@@ -59,6 +59,10 @@ class TestMakeProp2Contracts:
         with pytest.raises(InvalidRadii):
             make_prop2_contracts(0.5, 0.1, 0.1)
 
+    def test_radius_without_a_finite_square(self):
+        with pytest.raises(InvalidRadii):
+            make_prop2_contracts(0.1, 1e200, 0.5)
+
 
 class TestRealizedPayoff:
     def test_same_forecasts_pay_margin(self):

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     Forecast,
-    MixedStrategy,
     StateSpace,
     grid_enumerate,
     l2_dist_sq,
-    mixed_mean,
     project_to_simplex,
     sample_simplex_uniform,
     simplex,
@@ -143,47 +141,6 @@ class TestL2DistSq:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             l2_dist_sq(Forecast([0.5, 0.5]), Forecast([0.2, 0.3, 0.5]))
-
-
-class TestMixedStrategy:
-    def test_point_mass_mean(self):
-        f = Forecast([0.2, 0.8])
-        xi = MixedStrategy(((f, 1.0),))
-        assert mixed_mean(xi) == f
-
-    def test_symmetric_mean(self):
-        xi = MixedStrategy(((Forecast([1, 0]), 0.5), (Forecast([0, 1]), 0.5)))
-        assert mixed_mean(xi).probs.tolist() == [0.5, 0.5]
-
-    def test_weighted_mean(self):
-        xi = MixedStrategy(((Forecast([1, 0]), 0.25), (Forecast([0, 1]), 0.75)))
-        assert mixed_mean(xi).probs.tolist() == [0.25, 0.75]
-
-    def test_mean_is_valid_forecast(self):
-        rng = np.random.default_rng(4)
-        space = SPACE3
-        for _ in range(100):
-            m = int(rng.integers(1, 5))
-            w = rng.uniform(0.1, 1.0, m)
-            w /= w.sum()
-            xi = MixedStrategy(
-                tuple((sample_simplex_uniform(space, rng), float(x)) for x in w)
-            )
-            mean = mixed_mean(xi)
-            validate_forecast(mean.probs, space)
-
-    def test_rejects_bad_weights(self):
-        f = Forecast([0.5, 0.5])
-        with pytest.raises(ValueError):
-            MixedStrategy(((f, -0.5), (Forecast([1, 0]), 1.5)))
-        with pytest.raises(ValueError):
-            MixedStrategy(((f, math.nan),))
-        with pytest.raises(NotNormalized):
-            MixedStrategy(((f, 0.4),))
-
-    def test_needs_an_atom(self):
-        with pytest.raises(ValueError):
-            MixedStrategy(())
 
 
 class TestSampleSimplexUniform:

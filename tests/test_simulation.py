@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from expert_screening import (
     FIXED_MARGIN,
+    PAPER_EPSILON,
     Ball,
     ExpertSpec,
     FiniteSet,
@@ -24,7 +25,7 @@ from expert_screening import (
     sample_state,
 )
 from expert_screening import analyzer, simulation
-from expert_screening.errors import InvalidScenario
+from expert_screening.errors import InvalidScenario, ScreeningError
 from expert_screening.plausible import chebyshev
 from expert_screening.simulation import (
     BLOCK,
@@ -165,6 +166,96 @@ class TestScenario:
         for witnesses in ((FX, FY), (F3,), (F3, F3, F3)):
             with pytest.raises(InvalidScenario, match="witnesses"):
                 self._n3_scenario(witnesses=witnesses)
+
+
+# scenario objects built in process check themselves as a parsed file is
+# checked, and raise InvalidScenario naming the field
+class TestInProcessChecks:
+    @pytest.mark.parametrize("kwargs,field", [
+        pytest.param(dict(policy="bogus"), "contract.policy", id="unknown_policy"),
+        pytest.param(dict(policy=FIXED_MARGIN), "contract.margin", id="fixed_without_margin"),
+        pytest.param(dict(policy=FIXED_MARGIN, margin=float("nan")), "contract.margin",
+                     id="nan_margin"),
+    ])
+    def test_prop1_config(self, kwargs, field):
+        with pytest.raises(InvalidScenario, match=f"^{field}: "):
+            Prop1Config(witnesses=(FX, FY), **kwargs)
+
+    def test_prop2_config_needs_numbers(self):
+        with pytest.raises(InvalidScenario, match="^contract.eps1: expected a number"):
+            Prop2Config("a", 0.1, 0.02)
+
+    @pytest.mark.parametrize("eid", [5, ""])
+    def test_expert_id_is_a_non_empty_string(self, eid):
+        with pytest.raises(InvalidScenario, match="^expert id: "):
+            ExpertSpec(id=eid, kind="informed")
+
+    def test_expert_kind_is_a_string(self):
+        with pytest.raises(InvalidScenario, match="kind must be"):
+            ExpertSpec(id="x", kind=np.array([0.5, 0.5]))
+
+    def test_states_is_a_state_space(self):
+        with pytest.raises(InvalidScenario, match="^states: "):
+            dataclasses.replace(_prop1_scenario(), states=("up", "down"))
+
+    def test_experts_is_a_tuple(self):
+        sc = _prop1_scenario()
+        with pytest.raises(InvalidScenario, match="^experts: "):
+            dataclasses.replace(sc, experts=list(sc.experts))
+
+
+HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10), st.floats(), st.text(max_size=2),
+    st.sampled_from(["uniform", "informed", "partial", "truth", "chebyshev", "sample",
+                     PAPER_EPSILON, FIXED_MARGIN, "7", FX, F3, VERTICES, BALL3,
+                     Ball(Forecast([0.8, 0.1, 0.1]), 0.3), SPACE2, SPACE3,
+                     np.array([0.5, 0.5]), [FX, FY], (FX,), {"fixed": [0.5, 0.5]}]),
+)
+FIELDS = ("id0", "kind0", "theta0", "announce0", "id1", "kind1", "theta1", "announce1",
+          "policy", "witnesses", "margin", "eps1", "eps2", "gamma",
+          "states", "nature", "experts", "contract_config", "trials", "seed")
+
+
+class TestHostileScenario:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_report_or_screening_error(self, data):
+        """A valid scenario on 2 or 3 states with up to three of its fields
+        replaced by hostile values: building it and running its at most 10
+        trials returns a report or raises a ScreeningError."""
+        hostile = data.draw(st.sets(st.sampled_from(FIELDS), max_size=3), label="hostile")
+
+        def pick(name, *valid):
+            if name in hostile:
+                return data.draw(HOSTILE, label=name)
+            return valid[0] if len(valid) == 1 else data.draw(st.sampled_from(valid), label=name)
+
+        n3 = data.draw(st.booleans(), label="n3")
+        f, g = (F3, Forecast([0.2, 0.3, 0.5])) if n3 else (FX, FY)
+        ball = BALL3 if n3 else Ball(Forecast([0.6, 0.4]), 0.1)
+        try:
+            experts = (
+                ExpertSpec(id=pick("id0", "a"), kind=pick("kind0", "informed"),
+                           theta=pick("theta0", None),
+                           announce=pick("announce0", None, "truth")),
+                ExpertSpec(id=pick("id1", "b"), kind=pick("kind1", "uninformed", "partial"),
+                           theta=pick("theta1", ball),
+                           announce=pick("announce1", None, "chebyshev", "sample", g)),
+            )
+            if data.draw(st.booleans(), label="prop1"):
+                config = Prop1Config(policy=pick("policy", PAPER_EPSILON, SAFE_EPSILON),
+                                     witnesses=pick("witnesses", (f, g)),
+                                     margin=pick("margin", None))
+            else:
+                config = Prop2Config(pick("eps1", 0.05), pick("eps2", 0.2), pick("gamma", 0.02))
+            sc = Scenario(states=pick("states", SPACE3 if n3 else SPACE2),
+                          nature=pick("nature", "uniform", f),
+                          experts=pick("experts", experts),
+                          contract_config=pick("contract_config", config),
+                          trials=pick("trials", 1, 10), seed=pick("seed", 0, 2**128 - 1))
+        except ScreeningError:
+            return
+        run_tournament(sc)
 
 
 class TestSampleState:
@@ -570,7 +661,7 @@ def _reference_block_payoffs(sc, contracts, decisions):
         if isinstance(expert.announce, Forecast):
             static.append(expert.announce.probs)
         elif expert.announce == "chebyshev":
-            static.append(report.optimal_strategy.atoms[0][0].probs)
+            static.append(report.optimal_strategy.probs)
         else:
             static.append(None)
     sampled = [i for i, e in enumerate(sc.experts) if e.announce == "sample"]
