@@ -93,37 +93,43 @@ def uninformed_maxmin(theta, c):
     )
 
 
-def _grid_members(theta, G, sq_g):
+def _grid_members(theta, G, sq_g, d=None):
     """`members(theta, G)`, bit for bit, from the grid's squared norms sq_g.
-    The squared distance of each row g to a ball's center, or to the
+    The squared distance d of each row g to a ball's center, or to the
     nearest forecast of a finite set, is taken as |g|^2 - 2 g.x + |x|^2,
-    one gemv per center or forecast, and compared with (r +
-    MEMBERSHIP_TOL)^2 or MEMBERSHIP_TOL^2; the rows within NORM_SLACK of
-    that threshold, and only they, are decided again by `members`."""
+    one gemv per center or forecast, unless the caller passes it, and
+    compared with (r + MEMBERSHIP_TOL)^2 or MEMBERSHIP_TOL^2; the rows
+    within NORM_SLACK of that threshold, and only they, are decided again
+    by `members`."""
     if isinstance(theta, FiniteSet):
         X, t = theta.points, MEMBERSHIP_TOL**2
     else:
         X, t = theta.center.probs[None], (theta.radius + MEMBERSHIP_TOL) ** 2
-    d = sq_g - 2.0 * (G @ X[0]) + X[0] @ X[0]
-    for x in X[1:]:
-        np.minimum(d, sq_g - 2.0 * (G @ x) + x @ x, out=d)
+    if d is None:
+        d = sq_g - 2.0 * (G @ X[0]) + X[0] @ X[0]
+        for x in X[1:]:
+            np.minimum(d, sq_g - 2.0 * (G @ x) + x @ x, out=d)
     mask = d < t - NORM_SLACK
     near = np.flatnonzero(np.abs(d - t) <= NORM_SLACK)
-    mask[near] = members(theta, G[near])
+    if len(near):
+        mask[near] = members(theta, G[near])
     return mask
 
 
-def _adversary_candidates(theta, G, sq_g):
+def _adversary_candidates(theta, G, sq_g, d=None):
     """Truths available to the oracle adversary and their squared norms,
     (A, sq_a): theta's own exact points (witnesses / extremes) plus the rows
-    of the grid G (squared norms sq_g) that fall inside theta. A point may
-    appear twice, which changes neither a column maximum nor the
-    lex_farthest worst truth. The grid rows' norms are read from sq_g: a
-    row's sum along axis 1 has the same bits in any array."""
-    own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
-    inside = _grid_members(theta, G, sq_g)
-    return (np.vstack([own, G[inside]]),
-            np.concatenate([np.sum(own**2, axis=1), sq_g[inside]]))
+    of the grid G (squared norms sq_g) that fall inside theta, with d passed
+    on to `_grid_members`. A point may appear twice, which changes neither a
+    column maximum nor the lex_farthest worst truth. The grid rows' norms
+    are read from sq_g and `_ball_grid`'s: a row's sum along axis 1 has the
+    same bits in any array."""
+    if isinstance(theta, FiniteSet):
+        own, sq_own = [theta.points], [np.sum(theta.points**2, axis=1)]
+    else:
+        own, sq_own = _ball_grid(theta)
+    inside = _grid_members(theta, G, sq_g, d)
+    return np.concatenate([*own, G[inside]]), np.concatenate([*sq_own, sq_g[inside]])
 
 
 def _build_grid(n, k):
@@ -175,14 +181,15 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
         else:
             col_max = d.max(axis=0)
         np.maximum(out, col_max, out=out)
-    return np.clip(out, 0.0, None, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _winning_columns(A, sq_a, G, sq_g):
-    """Ascending indices of the rows of G that can hold the first minimum of
-    f = _column_max_dist_sq(A, sq_a, G, sq_g), at least two of them; None
-    (every row) when A has at most 2n rows, where the exact pass costs no
-    more than a bound would, or G at most two.
+    """(keep, f_keep): the ascending indices of the rows of G that can hold
+    the first minimum of f = _column_max_dist_sq(A, sq_a, G, sq_g), at least
+    two of them, and f on them when they are the two seed columns below,
+    else None; (None, None) (every row) when A has at most 2n rows, where
+    the exact pass costs no more than a bound would, or G at most two.
 
     Two lower bounds on f prune the columns; both come from the candidates
     alone, never from the exact path's Chebyshev center. The mean bound is
@@ -203,10 +210,12 @@ def _winning_columns(A, sq_a, G, sq_g):
     V and LB does; NORM_SLACK is 1e-12. So a column left out has f > f_best
     + NORM_SLACK and cannot tie margin - f_best after the subtraction. The
     two seed columns are always kept, because a one-column product goes to
-    gemv and rounds unlike gemm."""
+    gemv and rounds unlike gemm. f* comes from the seed columns' exact
+    maxima; when they alone survive, those maxima are f_keep, the values
+    the scan would read again in the same call."""
     n = A.shape[1]
     if len(A) <= 2 * n or len(G) <= 2:
-        return None
+        return None, None
     m = np.full(len(A), 1.0 / len(A)) @ A
     V = sq_a.mean() - m @ m
     e = sq_g - 2.0 * (G @ m) + m @ m
@@ -214,7 +223,8 @@ def _winning_columns(A, sq_a, G, sq_g):
     e_first, e[first] = e[first], np.inf
     two = np.array(sorted((first, int(np.argmin(e)))))
     e[first] = e_first
-    bound = _column_max_dist_sq(A, sq_a, G[two], sq_g[two]).min() + NORM_SLACK
+    f_two = _column_max_dist_sq(A, sq_a, G[two], sq_g[two])
+    bound = f_two.min() + NORM_SLACK
     keep = e + V <= bound
     keep[two] = True
     keep = np.flatnonzero(keep)
@@ -223,7 +233,7 @@ def _winning_columns(A, sq_a, G, sq_g):
         ok = _column_max_dist_sq(A[P], sq_a[P], G[keep], sq_g[keep]) <= bound
         ok[np.searchsorted(keep, two)] = True
         keep = keep[ok]
-    return keep
+    return keep, (f_two if len(keep) == 2 else None)
 
 
 def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
@@ -241,20 +251,35 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     coordinate's extremes), in blocks, so memory is linear in the grid size;
     the winner and its value are those of the full scan, bit for bit. On
     balls at n = 4 and 5 with grids of 39 711 and 316 251 points, two to
-    twenty columns are read exactly. Grid membership and the rival
-    scan start from the grid's squared norms, one gemv per point, and decide
-    again exactly the rows within rounding of a threshold or a minimum. The
-    mixture scan builds the full matrix behind its own budget cap. The grid
+    twenty columns are read exactly; when only the two seed columns survive,
+    the scan takes their maxima from `_winning_columns`. Grid membership and
+    the rival scan start from the grid's squared norms, one gemv per point,
+    and decide again exactly the rows within rounding of a threshold or a
+    minimum. A finite set whose rows fit one block of the scan takes all
+    three from one product instead, its distance block D to the grid:
+    membership from D's column minima, the scan's one block from D itself
+    when no grid row joins the candidates (the same expression, so the same
+    bits), and the rival scan's distances from D's row at the worst truth.
+    The mixture scan builds the full matrix behind its own budget cap. The grid
     G and its squared norms come from `_grid`, which keeps each grid of up
     to BLOCK_ENTRIES entries read-only for the rest of the process, so
     repeated calls at one (n, grid_k) build it once.
     """
     G, sq_g = _grid(theta.n, grid_k)                 # (num_grid, n), (num_grid,)
-    A, sq_a = _adversary_candidates(theta, G, sq_g)  # (num_cand, n), (num_cand,)
+    D = None
+    if isinstance(theta, FiniteSet) and len(theta.points) <= max(2, BLOCK_ENTRIES // len(G)):
+        X = theta.points
+        D = np.sum(X**2, axis=1)[:, None] + sq_g - 2.0 * (X @ G.T)  # (m, num_grid)
+    A, sq_a = _adversary_candidates(theta, G, sq_g, None if D is None else D.min(axis=0))
+    if D is not None and len(A) > len(D):            # a grid row joined: scan in blocks
+        D = None
 
-    keep = _winning_columns(A, sq_a, G, sq_g)
-    G_k, sq_k = (G, sq_g) if keep is None else (G[keep], sq_g[keep])
-    pm_values = c.margin - _column_max_dist_sq(A, sq_a, G_k, sq_k)  # per point mass
+    keep, f = _winning_columns(A, sq_a, G, sq_g)     # A: (num_cand, n)
+    if f is None:
+        cols = slice(None) if keep is None else keep
+        f = (_column_max_dist_sq(A, sq_a, G[cols], sq_g[cols]) if D is None
+             else np.maximum(D[:, cols].max(axis=0), 0.0))
+    pm_values = c.margin - f                         # per point mass
     i = int(np.argmax(pm_values))                    # first occurrence: deterministic
     best_j = i if keep is None else int(keep[i])
     best_value = float(pm_values[i])
@@ -267,13 +292,13 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
             raise ResolutionTooLarge(
                 f"two-point mixture scan needs {budget} evaluations; lower grid_k"
             )
-        D = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
+        M = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
         best_mix = -np.inf
         weights = [w / 10.0 for w in range(1, 10)]
         for i in range(len(G)):
-            col_i = D[:, i : i + 1]
+            col_i = M[:, i : i + 1]
             for w in weights:
-                mixed = w * col_i + (1.0 - w) * D   # (num_cand, num_grid)
+                mixed = w * col_i + (1.0 - w) * M   # (num_cand, num_grid)
                 vals = c.margin - mixed.max(axis=0)
                 m = float(vals.max())
                 if m > best_mix:
@@ -282,14 +307,15 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
         best_value = max(best_value, best_mix)
 
     # worst truth for the best point mass
-    col = np.clip(sq_a + sq_g[best_j] - 2.0 * (A @ G[best_j : best_j + 1].T)[:, 0], 0.0, None)
-    worst_truth = Forecast.from_row(A[lex_farthest(A, col)])
+    col = np.maximum(sq_a + sq_g[best_j] - 2.0 * (A @ G[best_j : best_j + 1].T)[:, 0], 0.0)
+    j = lex_farthest(A, col)
+    worst_truth = Forecast.from_row(A[j])
 
     # rival-deviation audit: the minimizing grid rival should coincide with
     # the worst truth (rival = truth is the adversary's best reply); the
     # rows within rounding of the norms' minimum are measured again
     w = worst_truth.probs
-    e = sq_g - 2.0 * (G @ w) + w @ w
+    e = sq_g - 2.0 * (G @ w) + w @ w if D is None else D[j]
     near = np.flatnonzero(e <= e.min() + NORM_SLACK)
     diffs = G[near] - w
     d = diffs[int(np.argmin(np.sum(diffs**2, axis=1)))]

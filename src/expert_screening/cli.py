@@ -14,7 +14,6 @@ written all the same); 3 verification failure.
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii

@@ -123,26 +123,29 @@ def members(theta, points):
 @lru_cache(maxsize=16)
 def _ball_simplex(n):
     """The finest simplex grid on n states with at most BALL_GRID_POINTS
-    points, and the coordinate-pair differences e_i - e_j (i != j) as rows;
-    both depend only on n, so they are built once and kept read-only."""
+    points, its rows' squared norms, and the coordinate-pair differences
+    e_i - e_j (i != j) as rows; all depend only on n, so they are built
+    once and kept read-only."""
     k = next(k for k in count(1) if math.comb(k + n, n - 1) > BALL_GRID_POINTS)
     grid = grid_enumerate(StateSpace(tuple(str(i) for i in range(n))), k)
+    sq = np.sum(grid**2, axis=1)
     e = np.eye(n)
     pairs = (e[:, None] - e[None])[~np.eye(n, dtype=bool)]
-    grid.flags.writeable = pairs.flags.writeable = False
-    return grid, pairs
+    grid.flags.writeable = sq.flags.writeable = pairs.flags.writeable = False
+    return grid, sq, pairs
 
 
 def _ball_grid(ball):
-    """Points of a ball, one row each: the points of the cached grid of
-    `_ball_simplex` that fall inside it, surface points along the
-    coordinate-pair directions (e_i - e_j) / sqrt(2) that stay on the
-    simplex, and the center. The oracle's adversary draws its truths from
-    these."""
-    grid, pairs = _ball_simplex(ball.n)
+    """Points of a ball as three blocks of rows, and each block's squared
+    norms: the points of the cached grid of `_ball_simplex` that fall
+    inside it, surface points along the coordinate-pair directions
+    (e_i - e_j) / sqrt(2) that stay on the simplex, and the center. The
+    oracle's adversary draws its truths from these."""
+    grid, sq, pairs = _ball_simplex(ball.n)
     p = ball.center.probs + ball.radius * pairs / math.sqrt(2.0)
-    return np.vstack([grid[members(ball, grid)], renormalized(p[p.min(axis=1) >= -1e-12]),
-                      ball.center.probs])
+    inside = members(ball, grid)
+    rest = [renormalized(p[p.min(axis=1) >= -1e-12]), ball.center.probs[None]]
+    return [grid[inside], *rest], [sq[inside], *(np.sum(r**2, axis=1) for r in rest)]
 
 
 @lru_cache(maxsize=16)

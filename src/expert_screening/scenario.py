@@ -7,7 +7,7 @@ rejected with the offending key name, and every number must be finite.
 import json
 
 from .errors import InvalidScenario, ScreeningError
-from .simplex import Forecast, StateSpace, validate_forecast
+from .simplex import StateSpace, validate_forecast
 from .simulation import (
     ExpertSpec,
     Prop1Config,
@@ -164,11 +164,11 @@ def parse_scenario(obj):
 def _unique_keys(pairs):
     """json object_pairs_hook: a key given twice is an error, not the last
     value silently winning."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise InvalidScenario(f"file: duplicate key '{key}'")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InvalidScenario(f"file: duplicate key '{key}'")
     return obj
 
 

@@ -53,7 +53,7 @@ class Forecast:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("forecast must be a 1-d vector of length >= 2")
-        if np.any(p < -NEG_TOL):
+        if (p < -NEG_TOL).any():
             raise NegativeEntry(f"negative entry {p.min()} in forecast")
         s = float(p.sum())
         if not abs(s - 1.0) <= SUM_TOL:

@@ -45,6 +45,8 @@ RNG_LAYOUT = "philox-block-v3"
 def _finite_number(x, where):
     """x as a finite float; a bool, a non-number or an infinity raises
     InvalidScenario naming `where`."""
+    if type(x) is float and math.isfinite(x):
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise InvalidScenario(f"{where}: expected a number")
     try:
@@ -122,6 +124,9 @@ class Prop1Config:
         except ValueError as exc:
             field = "margin" if self.policy == FIXED_MARGIN else "policy"
             raise InvalidScenario(f"contract.{field}: {exc}") from exc
+        if self.margin is not None and self.policy != FIXED_MARGIN:
+            raise InvalidScenario(f"contract.margin: the {self.policy} policy sets its own "
+                                  f"margin; only {FIXED_MARGIN} takes one")
 
 
 @dataclass(frozen=True)

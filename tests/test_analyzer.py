@@ -31,7 +31,7 @@ from expert_screening import (
 )
 from expert_screening import analyzer
 from expert_screening.errors import ResolutionTooLarge
-from expert_screening.plausible import MEMBERSHIP_TOL, _ball_grid, members
+from expert_screening.plausible import MEMBERSHIP_TOL, _ball_grid, lex_farthest, members
 from expert_screening.simplex import dist_sq_rows
 from expert_screening.verify import _random_finite_set, _space
 
@@ -193,8 +193,8 @@ class TestOracleMaxmin:
 
 def _members_candidates(theta, G):
     """The oracle's candidate rows with grid membership from `members`."""
-    own = theta.points if isinstance(theta, FiniteSet) else _ball_grid(theta)
-    return np.vstack([own, G[members(theta, G)]])
+    own = [theta.points] if isinstance(theta, FiniteSet) else _ball_grid(theta)[0]
+    return np.vstack([*own, G[members(theta, G)]])
 
 
 def _full_matrix_oracle(theta, c, k):
@@ -274,10 +274,11 @@ class TestBlockedReduction:
 
     # the exact walk reads every candidate in 2 grid columns: 2 of 3001 for
     # the audit's largest ball (4278 candidates) and 2 of 316 251 for the
-    # CLI default k = 50 on an n = 5 ball (7247 candidates); before it, f*
-    # reads all candidates in the two columns nearest their mean, and the
-    # pivot bound reads 2n candidates in the columns that the mean bound
-    # keeps (2327 and 801)
+    # CLI default k = 50 on an n = 5 ball (7247 candidates); f* reads all
+    # candidates in the two columns nearest their mean, and the pivot bound
+    # reads 2n candidates in the columns that the mean bound keeps (2327
+    # and 801); only the two seed columns survive, so the scan takes their
+    # maxima from f*'s pass and reads no column again
     @pytest.mark.parametrize("theta,k,num_cand,num_grid,survivors", [
         pytest.param(Ball(Forecast([0.5, 0.5]), 0.95 * 0.5 / math.sqrt(0.5)), 3000, 4278, 3001,
                      2327, id="largest_ball"),
@@ -297,7 +298,7 @@ class TestBlockedReduction:
         c = Contract(0.1, FIXED_MARGIN)
         report = oracle_maxmin(theta, c, grid_k=k)
         monkeypatch.undo()
-        assert calls == [(num_cand, 2), (2 * theta.n, survivors), (num_cand, 2)]
+        assert calls == [(num_cand, 2), (2 * theta.n, survivors)]
         if num_grid * num_cand <= 2 * 10**7:
             # every column read, in blocks: the unpruned scan
             G, sq_g = analyzer._grid(theta.n, k)
@@ -344,7 +345,7 @@ class TestBlockedReduction:
         theta = Ball(Forecast(center), radius)
         G, sq_g = analyzer._grid(theta.n, k)
         A, sq_a = analyzer._adversary_candidates(theta, G, sq_g)
-        assert len(analyzer._winning_columns(A, sq_a, G, sq_g)) == kept
+        assert len(analyzer._winning_columns(A, sq_a, G, sq_g)[0]) == kept
 
     @pytest.mark.parametrize("num_cand", [2, 100, 3000])
     def test_narrow_blocks_equal_full_matrix(self, num_cand):
@@ -408,6 +409,86 @@ class TestBlockedReduction:
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda b: oracle_maxmin(b, c, grid_k=2000).value, balls))
         assert threaded == serial
+
+
+def _unfused_oracle(theta, c, k):
+    """The oracle's point-mass report computed step by step, each step on
+    its own: grid membership from one gemv per forecast or center, the
+    candidates stacked and their norms summed, every grid column scanned in
+    blocks of the oracle's height, the worst truth's column from a gemv and
+    the rival scan from the grid's norms: (value, strategy, worst truth,
+    details)."""
+    G, sq_g = analyzer._grid(theta.n, k)
+    if isinstance(theta, FiniteSet):
+        own, X, t = theta.points, theta.points, MEMBERSHIP_TOL**2
+    else:
+        own = np.vstack(_ball_grid(theta)[0])
+        X, t = theta.center.probs[None], (theta.radius + MEMBERSHIP_TOL) ** 2
+    d = np.min([sq_g - 2.0 * (G @ x) + x @ x for x in X], axis=0)
+    inside = d < t - analyzer.NORM_SLACK
+    near = np.flatnonzero(np.abs(d - t) <= analyzer.NORM_SLACK)
+    inside[near] = members(theta, G[near])
+    A = np.vstack([own, G[inside]])
+    sq_a = np.concatenate([np.sum(own**2, axis=1), sq_g[inside]])
+    rows = min(len(A), max(2, analyzer.BLOCK_ENTRIES // len(G)))
+    f = np.full(len(G), -np.inf)
+    for lo in (min(start, len(A) - rows) for start in range(0, len(A), rows)):
+        block = sq_a[lo : lo + rows, None] + sq_g - 2.0 * (A[lo : lo + rows] @ G.T)
+        np.maximum(f, block.max(axis=0), out=f)
+    pm_values = c.margin - np.clip(f, 0.0, None)
+    j = int(np.argmax(pm_values))
+    col = np.clip(sq_a + sq_g[j] - 2.0 * (A @ G[j : j + 1].T)[:, 0], 0.0, None)
+    w = A[lex_farthest(A, col)]
+    e = sq_g - 2.0 * (G @ w) + w @ w
+    diffs = G[np.flatnonzero(e <= e.min() + analyzer.NORM_SLACK)] - w
+    dw = diffs[int(np.argmin(np.sum(diffs**2, axis=1)))]
+    details = {"grid_k": k, "margin": c.margin, "best_point_mass_value": float(pm_values[j]),
+               "reduction_rival_matches_truth_dist_sq": float(np.dot(dw, dw))}
+    return float(pm_values[j]), G[j], w, details
+
+
+class TestOneProductPerCall:
+    """The oracle, which takes a finite set's membership, scan and rival
+    norms from one product and a pruned ball's scan from its seed columns,
+    against each step computed on its own, byte for byte."""
+
+    K = {2: 60, 3: 15, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(1, 8), tall=st.booleans(),
+           on_grid=st.sampled_from([0, 0, 1, 2]), narrow=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_finite_sets(self, n, m, tall, on_grid, narrow, seed):
+        # m forecasts, on_grid of them grid points (a grid row joins the
+        # candidates: the blocked scan); tall: m > 2n at m >= 5 (pruned
+        # columns); narrow: blocks of two rows, so a set of three or more
+        # forecasts takes the blocked path too
+        rng = np.random.default_rng(seed)
+        n = max(2, (m - 1) // 2) if tall else n
+        G, _ = analyzer._grid(n, self.K[n])
+        rows = rng.dirichlet(np.ones(n), size=m)
+        rows[: min(on_grid, m)] = G[rng.choice(len(G), size=min(on_grid, m), replace=False)]
+        self._assert_unfused(FiniteSet(tuple(map(Forecast.from_row, rows))), narrow, rng)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), kind=st.sampled_from(["uncut", "clipped"]),
+           narrow=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_balls(self, n, kind, narrow, seed):
+        rng = np.random.default_rng(seed)
+        self._assert_unfused(_random_theta(rng, n, kind), narrow, rng)
+
+    def _assert_unfused(self, theta, narrow, rng):
+        k = self.K[theta.n]
+        c = Contract(float(rng.uniform(0.05, 0.5)), FIXED_MARGIN)
+        with pytest.MonkeyPatch.context() as mp:
+            if narrow:
+                mp.setattr(analyzer, "BLOCK_ENTRIES", 2 * math.comb(k + theta.n - 1, theta.n - 1))
+            value, strategy, worst, details = _unfused_oracle(theta, c, k)
+            report = oracle_maxmin(theta, c, grid_k=k)
+        assert repr(report.value) == repr(value)
+        assert report.optimal_strategy.probs.tobytes() == strategy.tobytes()
+        assert report.worst_case_truth.probs.tobytes() == worst.tobytes()
+        assert repr(report.details) == repr(details)
 
 
 class TestGridMembers:

@@ -464,13 +464,14 @@ class TestPivotStep:
 class TestBallGrid:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_cached_grid_and_pairs_read_only(self, n):
-        grid, pairs = _ball_simplex(n)
+        grid, sq, pairs = _ball_simplex(n)
         k = next(k for k in range(1, 2000) if math.comb(k + n, n - 1) > BALL_GRID_POINTS)
         assert np.array_equal(grid, grid_enumerate(_space(n), k))
         e = np.eye(n)
         assert np.array_equal(pairs, [e[i] - e[j] for i in range(n) for j in range(n) if i != j])
+        assert np.array_equal(sq.view(np.uint64), np.sum(grid**2, axis=1).view(np.uint64))
         assert _ball_simplex(n)[0] is grid
-        for a in (grid, pairs):
+        for a in (grid, sq, pairs):
             with pytest.raises(ValueError):
                 a[0] = 0.5
 

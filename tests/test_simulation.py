@@ -176,6 +176,11 @@ class TestInProcessChecks:
         pytest.param(dict(policy=FIXED_MARGIN), "contract.margin", id="fixed_without_margin"),
         pytest.param(dict(policy=FIXED_MARGIN, margin=float("nan")), "contract.margin",
                      id="nan_margin"),
+        # the contract would pay d^2/8 = 0.25 and the scenario echo a fixed 0.3
+        pytest.param(dict(policy=SAFE_EPSILON, margin=0.3), "contract.margin",
+                     id="margin_with_safe_epsilon"),
+        pytest.param(dict(policy=PAPER_EPSILON, margin=0.3), "contract.margin",
+                     id="margin_with_paper_epsilon"),
     ])
     def test_prop1_config(self, kwargs, field):
         with pytest.raises(InvalidScenario, match=f"^{field}: "):
