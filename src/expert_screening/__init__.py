@@ -30,7 +30,6 @@ from .plausible import (
     ChebyshevResult,
     FiniteSet,
     chebyshev,
-    contains,
     diameter_sq,
     farthest_point,
     sample_from,
@@ -50,15 +49,14 @@ from .simplex import (
     sample_simplex_uniform,
     validate_forecast,
 )
-from .simulation import (
+from .simulation import SimulationReport, run_tournament, sample_state
+from .scenario import (
     ExpertSpec,
     Prop1Config,
     Prop2Config,
     Scenario,
-    SimulationReport,
-    run_tournament,
-    sample_state,
+    load_scenario,
+    parse_scenario,
 )
-from .scenario import load_scenario, parse_scenario
 
 __version__ = "0.1.0"

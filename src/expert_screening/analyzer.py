@@ -168,9 +168,13 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
     block 64 or more times taller than wide takes each column's maximum on
     its own: the reduction along axis 0 would cost about as much per row as
     a wide one does, and a maximum is exact, so the bits are the same.
-    Columns do not interact: a product of two or more of them (gemm) gives
-    each column the bits it has in the full matrix, so the walk may run on
-    any such subset of G's rows, as `_winning_columns` has it do."""
+    The walk may run on any subset of G's rows, as `_winning_columns` has
+    it do, but a subset's gemm need not give a column its bits in the full
+    matrix: under OpenBLAS, 2- and 3-column subsets matched in 120 random
+    products each, while 78 of 120 random 801-column subsets differed in
+    some entry, by up to 1.1e-16, and 5 in a column maximum. Tests pinning
+    the report to the full matrix: test_early_exit_equals_full_matrix,
+    test_near_ties_equal_full_matrix and TestOneProductPerCall."""
     rows = min(len(A), max(2, BLOCK_ENTRIES // len(G)))
     out = np.full(len(G), -np.inf)
     for start in range(0, len(A), rows):
@@ -209,10 +213,12 @@ def _winning_columns(A, sq_a, G, sq_g):
     and an m off by rounding moves it by about 1e-16, as the rounding of e,
     V and LB does; NORM_SLACK is 1e-12. So a column left out has f > f_best
     + NORM_SLACK and cannot tie margin - f_best after the subtraction. The
-    two seed columns are always kept, because a one-column product goes to
-    gemv and rounds unlike gemm. f* comes from the seed columns' exact
-    maxima; when they alone survive, those maxima are f_keep, the values
-    the scan would read again in the same call."""
+    two seed columns are always kept: a one-column product goes to gemv,
+    which rounds unlike gemm, and two-column subsets matched the full
+    matrix in every random product measured (`_column_max_dist_sq`; wider
+    subsets can round 1e-16 apart from it). f* comes from the seed
+    columns' exact maxima; when they alone survive, those maxima are
+    f_keep, the values the scan would read again in the same call."""
     n = A.shape[1]
     if len(A) <= 2 * n or len(G) <= 2:
         return None, None
@@ -248,11 +254,14 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     adversary. The point-mass scan reads the candidate x grid distances
     exactly only in the grid columns that can win (`_winning_columns`: the
     candidates' mean bound, then a bound from the candidates at each
-    coordinate's extremes), in blocks, so memory is linear in the grid size;
-    the winner and its value are those of the full scan, bit for bit. On
-    balls at n = 4 and 5 with grids of 39 711 and 316 251 points, two to
-    twenty columns are read exactly; when only the two seed columns survive,
-    the scan takes their maxima from `_winning_columns`. Grid membership and
+    coordinate's extremes), in blocks, so memory is linear in the grid size.
+    A column subset's product can round 1e-16 apart from the full matrix
+    (`_column_max_dist_sq`), so the full scan's bits for the winner and its
+    value are not proved but tested; they matched on all 1 480 audit sets
+    at seeds 100-139 and in the tests named there. On balls at n = 4 and 5
+    with grids of 39 711 and 316 251 points, two to twenty columns are read
+    exactly; when only the two seed columns survive, the scan takes their
+    maxima from `_winning_columns`. Grid membership and
     the rival scan start from the grid's squared norms, one gemv per point,
     and decide again exactly the rows within rounding of a threshold or a
     minimum. A finite set whose rows fit one block of the scan takes all

@@ -25,61 +25,8 @@ from .analyzer import (
 )
 from .contracts import PAPER_EPSILON
 from .errors import ScreeningError
-from .scenario import load_scenario
-from .simplex import Forecast
-from .simulation import (
-    INFORMED,
-    Prop1Config,
-    build_contracts,
-    decide_acceptance,
-    run_tournament,
-)
-from .verify import run_all
-
-
-def _forecast_list(f):
-    return f.probs.tolist()
-
-
-def _scenario_echo(sc):
-    if isinstance(sc.contract_config, Prop1Config):
-        contract = {
-            "kind": "prop1",
-            "policy": sc.contract_config.policy,
-            "witnesses": [_forecast_list(w) for w in sc.contract_config.witnesses],
-        }
-        if sc.contract_config.margin is not None:
-            contract["fixed_margin"] = sc.contract_config.margin
-    else:
-        contract = {
-            "kind": "prop2",
-            "eps1": sc.contract_config.eps1,
-            "eps2": sc.contract_config.eps2,
-            "gamma": sc.contract_config.gamma,
-        }
-    return {
-        "states": list(sc.states.labels),
-        "nature": (
-            {"kind": "uniform"}
-            if sc.nature == "uniform"
-            else {"kind": "fixed", "forecast": _forecast_list(sc.nature)}
-        ),
-        "experts": [
-            {
-                "id": e.id,
-                "kind": e.kind,
-                "announce": (
-                    {"fixed": _forecast_list(e.announce)}
-                    if isinstance(e.announce, Forecast)
-                    else e.announce
-                ),
-            }
-            for e in sc.experts
-        ],
-        "contract": contract,
-        "trials": sc.trials,
-        "seed": sc.seed,
-    }
+from .scenario import INFORMED, echo_scenario, load_scenario
+from .simulation import decide_acceptance, run_tournament
 
 
 def _uncertified(expert_id):
@@ -99,12 +46,12 @@ def _analyze_experts(sc, contracts):
         if report is not None:
             radius_sq = report.details["chebyshev_radius_sq"]
             entry["chebyshev"] = {
-                "center": _forecast_list(report.optimal_strategy),
+                "center": report.optimal_strategy.probs.tolist(),
                 "radius_sq": radius_sq,
                 "certified": report.certified,
                 "method": "exact",
             }
-            entry["worst_case_truth"] = _forecast_list(report.worst_case_truth)
+            entry["worst_case_truth"] = report.worst_case_truth.probs.tolist()
             if not report.certified:
                 any_uncertified = True
                 warnings.append(_uncertified(expert.id))
@@ -215,14 +162,14 @@ def _oracle_entry(entry, expert, contract, args):
 def cmd_report(args):
     """`analyze`; `oracle` is the same report plus a per-expert oracle block."""
     sc = load_scenario(args.scenario)
-    contracts = build_contracts(sc.contract_config)
+    contracts = sc.contract_config.contracts
     experts, warnings, uncertified = _analyze_experts(sc, contracts)
     if args.command == "oracle":
         for entry, expert, contract in zip(experts, sc.experts, contracts):
             if expert.kind != INFORMED:
                 entry["oracle"] = _oracle_entry(entry, expert, contract, args)
     report = {
-        "scenario": _scenario_echo(sc),
+        "scenario": echo_scenario(sc),
         "experts": experts,
         "warnings": warnings,
     }
@@ -245,12 +192,13 @@ def cmd_simulate(args):
             for e in result.experts
         )
     else:
-        out = _json({"scenario": _scenario_echo(sc), **result.to_dict()})
+        out = _json({"scenario": echo_scenario(sc), **result.to_dict()})
     _emit(out, warnings)
     return 2 if warnings else 0
 
 
 def cmd_verify(args):
+    from .verify import run_all  # the property suites load only for this command
     results = run_all(quick=args.quick)
     width = max(len(name) for name, _, _, _ in results)
     failed = []

@@ -17,6 +17,7 @@ FIXED_MARGIN = "fixed_margin"
 GAMMA_COMPARATIVE = "gamma_comparative"
 
 WITNESS_TOL = 1e-9
+MAX_MARGIN = 1.3407807929942596e154  # sqrt(float max): a larger margin's square overflows
 
 
 @dataclass(frozen=True)
@@ -25,16 +26,12 @@ class Contract:
 
     margin: float
     policy: str
-    witnesses: tuple = None  # (fx, fy) when the margin was witness-derived
 
     def __post_init__(self):
         m = float(self.margin)
-        if not m == m or m in (float("inf"), float("-inf")):
-            raise ValueError("margin must be finite")
+        if not abs(m) <= MAX_MARGIN:  # also false for NaN
+            raise ValueError(f"margin must be finite with |margin| <= {MAX_MARGIN!r}")
         object.__setattr__(self, "margin", m)
-        if self.policy in (PAPER_EPSILON, SAFE_EPSILON):
-            if self.witnesses is None or len(self.witnesses) != 2:
-                raise ValueError(f"policy {self.policy} requires two witnesses")
 
 
 def make_prop1_contract(fx, fy, policy, margin=None):
@@ -49,13 +46,13 @@ def make_prop1_contract(fx, fy, policy, margin=None):
     if d2 <= WITNESS_TOL**2:
         raise DegenerateWitnesses("witness forecasts coincide")
     if policy == PAPER_EPSILON:
-        return Contract(d2 / 2.0, PAPER_EPSILON, (fx, fy))
+        return Contract(d2 / 2.0, PAPER_EPSILON)
     if policy == SAFE_EPSILON:
-        return Contract(d2 / 8.0, SAFE_EPSILON, (fx, fy))
+        return Contract(d2 / 8.0, SAFE_EPSILON)
     if policy == FIXED_MARGIN:
         if margin is None:
             raise ValueError("fixed_margin policy requires a margin value")
-        return Contract(float(margin), FIXED_MARGIN, (fx, fy))
+        return Contract(float(margin), FIXED_MARGIN)
     raise ValueError(f"unknown margin policy {policy!r}")
 
 
@@ -74,9 +71,8 @@ def make_prop2_contracts(eps1, eps2, gamma):
         raise InvalidRadii(f"eps2 = {eps2} has no finite square") from None
     if not lo < gamma < hi:
         raise InvalidGamma(f"gamma {gamma} outside open interval ({lo}, {hi})")
-    c1 = Contract(gamma, GAMMA_COMPARATIVE)
-    c2 = Contract(gamma, GAMMA_COMPARATIVE)
-    return c1, c2
+    c = Contract(gamma, GAMMA_COMPARATIVE)
+    return c, c
 
 
 def realized_payoff(c, own, rival, s):

@@ -101,13 +101,6 @@ class Ball:
         return float(self.center.probs.min()) >= drop - 1e-12
 
 
-def contains(theta, f):
-    """Closed-set membership of one forecast: `members` on its one row."""
-    if theta.n != f.n:
-        raise LengthMismatch(f"forecast on {f.n} states, plausible set on {theta.n}")
-    return bool(members(theta, f.probs[None])[0])
-
-
 def members(theta, points):
     """Membership mask of the rows of `points`, with boundary tolerance
     MEMBERSHIP_TOL."""

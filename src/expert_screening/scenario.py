@@ -1,25 +1,192 @@
-"""Strict scenario-file parsing.
+"""The scenario format: its types, its strict parser and its writer.
 
 Scenario files are UTF-8 JSON with a fixed schema; unknown keys are
 rejected with the offending key name, and every number must be finite.
+A scenario built in process is checked as a parsed file is.
 """
 
 import json
+import math
+import numbers
+from dataclasses import dataclass, field
 
-from .errors import InvalidScenario, ScreeningError
-from .simplex import StateSpace, validate_forecast
-from .simulation import (
-    ExpertSpec,
-    Prop1Config,
-    Prop2Config,
-    Scenario,
-    _finite_number,
+from .contracts import (
+    FIXED_MARGIN,
+    PAPER_EPSILON,
+    SAFE_EPSILON,
+    make_prop1_contract,
+    make_prop2_contracts,
 )
+from .errors import InvalidScenario, ScreeningError
 from .plausible import Ball, FiniteSet
-from .contracts import FIXED_MARGIN, PAPER_EPSILON, SAFE_EPSILON
+from .simplex import Forecast, StateSpace, validate_forecast
+
+INFORMED = "informed"
+UNINFORMED = "uninformed"
+PARTIAL = "partial"
+
+ANNOUNCE_TRUTH = "truth"
+ANNOUNCE_CHEBYSHEV = "chebyshev"
+ANNOUNCE_SAMPLE = "sample"
+ANNOUNCE_POLICIES = (ANNOUNCE_TRUTH, ANNOUNCE_CHEBYSHEV, ANNOUNCE_SAMPLE)
 
 _TOP_KEYS = {"states", "nature", "experts", "contract", "trials", "seed"}
 _EXPERT_KEYS = {"id", "kind", "theta", "announce"}
+
+
+def _finite_number(x, where):
+    """x as a finite float; a bool, a non-number or an infinity raises
+    InvalidScenario naming `where`."""
+    if type(x) is float and math.isfinite(x):
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidScenario(f"{where}: expected a number")
+    try:
+        value = float(x)  # an int past float range raises OverflowError
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidScenario(f"{where}: number must be finite")
+    return value
+
+
+@dataclass(frozen=True)
+class ExpertSpec:
+    id: str
+    kind: str                      # informed | uninformed | partial
+    theta: object = None           # FiniteSet | Ball for non-informed kinds
+    announce: object = None        # policy name or a fixed Forecast; None: by kind
+
+    def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise InvalidScenario(f"expert id: expected a non-empty string, got {self.id!r}")
+        if not isinstance(self.kind, str) or self.kind not in (INFORMED, UNINFORMED, PARTIAL):
+            raise InvalidScenario(
+                f"expert {self.id}: kind must be 'informed', 'uninformed', or 'partial'"
+            )
+        if self.announce is None:
+            default = ANNOUNCE_TRUTH if self.kind == INFORMED else ANNOUNCE_CHEBYSHEV
+            object.__setattr__(self, "announce", default)
+        if not isinstance(self.announce, Forecast) and not (
+            isinstance(self.announce, str) and self.announce in ANNOUNCE_POLICIES
+        ):
+            raise InvalidScenario(f"expert {self.id}: announce must be 'truth', "
+                                  "'chebyshev', 'sample', or {'fixed': [...]}")
+        if self.kind == INFORMED:
+            if self.theta is not None:
+                raise InvalidScenario(f"expert {self.id}: informed experts take no theta")
+            if self.announce != ANNOUNCE_TRUTH:
+                raise InvalidScenario(
+                    f"expert {self.id}: informed experts must announce the truth"
+                )
+        else:
+            if not isinstance(self.theta, (FiniteSet, Ball)):
+                raise InvalidScenario(
+                    f"expert {self.id}: theta required for kind '{self.kind}'"
+                )
+            if self.announce == ANNOUNCE_TRUTH:
+                raise InvalidScenario(
+                    f"expert {self.id}: uninformed experts cannot announce the truth"
+                )
+            if self.kind == PARTIAL and not isinstance(self.theta, Ball):
+                raise InvalidScenario(
+                    f"expert {self.id}: partially informed experts need a ball set"
+                )
+
+
+@dataclass(frozen=True)
+class Prop1Config:
+    """Checked once, by building `contracts`; a ValueError names the field."""
+
+    policy: str
+    witnesses: tuple
+    margin: float = None
+    contracts: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.policy, str):
+            raise InvalidScenario("contract.policy: expected a policy name")
+        w = self.witnesses
+        if not (isinstance(w, tuple) and len(w) == 2
+                and all(isinstance(f, Forecast) for f in w)):
+            raise InvalidScenario("contract.witnesses: expected a pair of forecasts")
+        if self.margin is not None:
+            object.__setattr__(self, "margin", _finite_number(self.margin, "contract.margin"))
+        try:
+            c = make_prop1_contract(*w, self.policy, margin=self.margin)
+        except ValueError as exc:
+            name = "margin" if self.policy == FIXED_MARGIN else "policy"
+            raise InvalidScenario(f"contract.{name}: {exc}") from exc
+        if self.margin is not None and self.policy != FIXED_MARGIN:
+            raise InvalidScenario(f"contract.margin: the {self.policy} policy sets its own "
+                                  f"margin; only {FIXED_MARGIN} takes one")
+        object.__setattr__(self, "contracts", (c, c))
+
+
+@dataclass(frozen=True)
+class Prop2Config:
+    """Checked once: finite numbers, stored as floats, that make `contracts`."""
+
+    eps1: float
+    eps2: float
+    gamma: float
+    contracts: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("eps1", "eps2", "gamma"):
+            value = _finite_number(getattr(self, name), f"contract.{name}")
+            object.__setattr__(self, name, value)
+        try:
+            contracts = make_prop2_contracts(self.eps1, self.eps2, self.gamma)
+        except ValueError as exc:  # gamma is both contracts' margin
+            raise InvalidScenario(f"contract.gamma: {exc}") from exc
+        object.__setattr__(self, "contracts", contracts)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    states: StateSpace
+    nature: object            # Forecast (fixed) or "uniform"
+    experts: tuple            # exactly 2 ExpertSpec
+    contract_config: object   # Prop1Config | Prop2Config
+    trials: int
+    seed: int
+
+    def __post_init__(self):
+        # isinstance checks only: dataclasses.replace runs these per tournament
+        if not isinstance(self.states, StateSpace):
+            raise InvalidScenario("states: expected a StateSpace")
+        if not (isinstance(self.experts, tuple) and len(self.experts) == 2
+                and all(isinstance(e, ExpertSpec) for e in self.experts)):
+            raise InvalidScenario("experts: exactly 2 experts required, a tuple of ExpertSpec")
+        if not isinstance(self.contract_config, (Prop1Config, Prop2Config)):
+            raise InvalidScenario("contract: expected a Prop1Config or a Prop2Config")
+        if self.experts[0].id == self.experts[1].id:
+            raise InvalidScenario("experts: ids must be distinct")
+        # exact type checks, because bool is an int subclass
+        if type(self.trials) is not int or self.trials < 1:
+            raise InvalidScenario("trials: must be a positive integer")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**128:
+            raise InvalidScenario("seed: must be an integer in [0, 2**128)")
+        # isinstance first: an array compared with "uniform" has no truth value
+        n = self.states.n
+        if isinstance(self.nature, Forecast):
+            if self.nature.n != n:
+                raise InvalidScenario(f"nature: a forecast on {self.nature.n} states, "
+                                      f"the scenario has {n}")
+        elif not (isinstance(self.nature, str) and self.nature == "uniform"):
+            raise InvalidScenario("nature: must be 'uniform' or a fixed forecast")
+        for e in self.experts:
+            if e.theta is not None and e.theta.n != n:
+                raise InvalidScenario(f"expert {e.id}: theta on {e.theta.n} states, "
+                                      f"the scenario has {n}")
+            if isinstance(e.announce, Forecast) and e.announce.n != n:
+                raise InvalidScenario(f"expert {e.id}: a fixed announcement on "
+                                      f"{e.announce.n} states, the scenario has {n}")
+        if (isinstance(self.contract_config, Prop1Config)
+                and self.contract_config.witnesses[0].n != n):
+            raise InvalidScenario(f"contract.witnesses: expected 2 forecasts on "
+                                  f"the scenario's {n} states")
 
 
 def _require_keys(obj, allowed, where):
@@ -99,18 +266,14 @@ def _parse_contract(obj, space):
             raise InvalidScenario(
                 f"{where}.policy: must be 'paper', 'safe', or {{'fixed': m}}"
             )
-        raw_w = obj.get("witnesses")
-        if not isinstance(raw_w, list) or len(raw_w) != 2:
-            raise InvalidScenario(f"{where}.witnesses: expected exactly 2 forecasts")
-        witnesses = tuple(
-            _forecast(w, space, f"{where}.witnesses[{i}]") for i, w in enumerate(raw_w)
-        )
+        witnesses = obj.get("witnesses")  # Prop1Config checks the count and type
+        if isinstance(witnesses, list):
+            witnesses = tuple(
+                _forecast(w, space, f"{where}.witnesses[{i}]") for i, w in enumerate(witnesses)
+            )
         return Prop1Config(policy=policy, witnesses=witnesses, margin=margin)
     if kind == "prop2":
-        for key in ("eps1", "eps2", "gamma"):
-            if key not in obj:
-                raise InvalidScenario(f"{where}.{key}: required for prop2 contracts")
-        return Prop2Config(eps1=obj["eps1"], eps2=obj["eps2"], gamma=obj["gamma"])
+        return Prop2Config(eps1=obj.get("eps1"), eps2=obj.get("eps2"), gamma=obj.get("gamma"))
     raise InvalidScenario(f"{where}.kind: must be 'prop1' or 'prop2'")
 
 
@@ -124,7 +287,6 @@ def parse_scenario(obj):
     states_raw = obj["states"]
     if (
         not isinstance(states_raw, list)
-        or len(states_raw) < 2
         or not all(isinstance(s, str) for s in states_raw)
     ):
         raise InvalidScenario("states: expected an array of >= 2 state names")
@@ -182,3 +344,46 @@ def load_scenario(path):
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise InvalidScenario(f"file: invalid JSON ({exc})") from exc
     return parse_scenario(obj)
+
+
+def echo_scenario(sc):
+    """The scenario as a report echoes it: JSON-ready, with no theta."""
+    config = sc.contract_config
+    if isinstance(config, Prop1Config):
+        contract = {
+            "kind": "prop1",
+            "policy": config.policy,
+            "witnesses": [w.probs.tolist() for w in config.witnesses],
+        }
+        if config.margin is not None:
+            contract["fixed_margin"] = config.margin
+    else:
+        contract = {
+            "kind": "prop2",
+            "eps1": config.eps1,
+            "eps2": config.eps2,
+            "gamma": config.gamma,
+        }
+    return {
+        "states": list(sc.states.labels),
+        "nature": (
+            {"kind": "uniform"}
+            if sc.nature == "uniform"
+            else {"kind": "fixed", "forecast": sc.nature.probs.tolist()}
+        ),
+        "experts": [
+            {
+                "id": e.id,
+                "kind": e.kind,
+                "announce": (
+                    {"fixed": e.announce.probs.tolist()}
+                    if isinstance(e.announce, Forecast)
+                    else e.announce
+                ),
+            }
+            for e in sc.experts
+        ],
+        "contract": contract,
+        "trials": sc.trials,
+        "seed": sc.seed,
+    }

@@ -17,177 +17,19 @@ block order with the pairwise update of Chan, Golub & LeVeque (1979).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 # unused here, but bench/tracing.py rebinds chebyshev, realized_payoff, sample_simplex_uniform
 from .analyzer import ACCEPT, REJECT, informed_guarantee, uninformed_maxmin
-from .contracts import FIXED_MARGIN, make_prop1_contract, make_prop2_contracts, realized_payoff
-from .errors import InvalidScenario
-from .plausible import Ball, FiniteSet, chebyshev, sample_from
-from .simplex import Forecast, StateSpace, sample_simplex_uniform
-
-INFORMED = "informed"
-UNINFORMED = "uninformed"
-PARTIAL = "partial"
-
-ANNOUNCE_TRUTH = "truth"
-ANNOUNCE_CHEBYSHEV = "chebyshev"
-ANNOUNCE_SAMPLE = "sample"
-ANNOUNCE_POLICIES = (ANNOUNCE_TRUTH, ANNOUNCE_CHEBYSHEV, ANNOUNCE_SAMPLE)
+from .contracts import realized_payoff
+from .plausible import chebyshev, sample_from
+from .scenario import ANNOUNCE_CHEBYSHEV, ANNOUNCE_SAMPLE, INFORMED, PARTIAL
+from .simplex import Forecast, sample_simplex_uniform
 
 BLOCK = 4096                   # trials per counter-based stream
 RNG_LAYOUT = "philox-block-v3"
-
-
-def _finite_number(x, where):
-    """x as a finite float; a bool, a non-number or an infinity raises
-    InvalidScenario naming `where`."""
-    if type(x) is float and math.isfinite(x):
-        return x
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise InvalidScenario(f"{where}: expected a number")
-    try:
-        value = float(x)  # an int past float range raises OverflowError
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise InvalidScenario(f"{where}: number must be finite")
-    return value
-
-
-@dataclass(frozen=True)
-class ExpertSpec:
-    id: str
-    kind: str                      # informed | uninformed | partial
-    theta: object = None           # FiniteSet | Ball for non-informed kinds
-    announce: object = None        # policy name or a fixed Forecast; None: by kind
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidScenario(f"expert id: expected a non-empty string, got {self.id!r}")
-        if not isinstance(self.kind, str) or self.kind not in (INFORMED, UNINFORMED, PARTIAL):
-            raise InvalidScenario(
-                f"expert {self.id}: kind must be 'informed', 'uninformed', or 'partial'"
-            )
-        if self.announce is None:
-            default = ANNOUNCE_TRUTH if self.kind == INFORMED else ANNOUNCE_CHEBYSHEV
-            object.__setattr__(self, "announce", default)
-        if not isinstance(self.announce, Forecast) and not (
-            isinstance(self.announce, str) and self.announce in ANNOUNCE_POLICIES
-        ):
-            raise InvalidScenario(f"expert {self.id}: announce must be 'truth', "
-                                  "'chebyshev', 'sample', or {'fixed': [...]}")
-        if self.kind == INFORMED:
-            if self.theta is not None:
-                raise InvalidScenario(f"expert {self.id}: informed experts take no theta")
-            if self.announce != ANNOUNCE_TRUTH:
-                raise InvalidScenario(
-                    f"expert {self.id}: informed experts must announce the truth"
-                )
-        else:
-            if not isinstance(self.theta, (FiniteSet, Ball)):
-                raise InvalidScenario(
-                    f"expert {self.id}: theta required for kind '{self.kind}'"
-                )
-            if self.announce == ANNOUNCE_TRUTH:
-                raise InvalidScenario(
-                    f"expert {self.id}: uninformed experts cannot announce the truth"
-                )
-            if self.kind == PARTIAL and not isinstance(self.theta, Ball):
-                raise InvalidScenario(
-                    f"expert {self.id}: partially informed experts need a ball set"
-                )
-
-
-@dataclass(frozen=True)
-class Prop1Config:
-    """Checked once, by building its contract; a ValueError names the field."""
-
-    policy: str
-    witnesses: tuple
-    margin: float = None
-
-    def __post_init__(self):
-        if not isinstance(self.policy, str):
-            raise InvalidScenario("contract.policy: expected a policy name")
-        w = self.witnesses
-        if not (isinstance(w, tuple) and len(w) == 2
-                and all(isinstance(f, Forecast) for f in w)):
-            raise InvalidScenario("contract.witnesses: expected a pair of forecasts")
-        if self.margin is not None:
-            object.__setattr__(self, "margin", _finite_number(self.margin, "contract.margin"))
-        try:
-            make_prop1_contract(*w, self.policy, margin=self.margin)
-        except ValueError as exc:
-            field = "margin" if self.policy == FIXED_MARGIN else "policy"
-            raise InvalidScenario(f"contract.{field}: {exc}") from exc
-        if self.margin is not None and self.policy != FIXED_MARGIN:
-            raise InvalidScenario(f"contract.margin: the {self.policy} policy sets its own "
-                                  f"margin; only {FIXED_MARGIN} takes one")
-
-
-@dataclass(frozen=True)
-class Prop2Config:
-    """Checked once: finite numbers, stored as floats, that make contracts."""
-
-    eps1: float
-    eps2: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("eps1", "eps2", "gamma"):
-            value = _finite_number(getattr(self, name), f"contract.{name}")
-            object.__setattr__(self, name, value)
-        make_prop2_contracts(self.eps1, self.eps2, self.gamma)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    states: StateSpace
-    nature: object            # Forecast (fixed) or "uniform"
-    experts: tuple            # exactly 2 ExpertSpec
-    contract_config: object   # Prop1Config | Prop2Config
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        # isinstance checks only: dataclasses.replace runs these per tournament
-        if not isinstance(self.states, StateSpace):
-            raise InvalidScenario("states: expected a StateSpace")
-        if not (isinstance(self.experts, tuple) and len(self.experts) == 2
-                and all(isinstance(e, ExpertSpec) for e in self.experts)):
-            raise InvalidScenario("experts: exactly 2 experts required, a tuple of ExpertSpec")
-        if not isinstance(self.contract_config, (Prop1Config, Prop2Config)):
-            raise InvalidScenario("contract: expected a Prop1Config or a Prop2Config")
-        if self.experts[0].id == self.experts[1].id:
-            raise InvalidScenario("experts: ids must be distinct")
-        # exact type checks, because bool is an int subclass
-        if type(self.trials) is not int or self.trials < 1:
-            raise InvalidScenario("trials: must be a positive integer")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**128:
-            raise InvalidScenario("seed: must be an integer in [0, 2**128)")
-        # isinstance first: an array compared with "uniform" has no truth value
-        n = self.states.n
-        if isinstance(self.nature, Forecast):
-            if self.nature.n != n:
-                raise InvalidScenario(f"nature: a forecast on {self.nature.n} states, "
-                                      f"the scenario has {n}")
-        elif not (isinstance(self.nature, str) and self.nature == "uniform"):
-            raise InvalidScenario("nature: must be 'uniform' or a fixed forecast")
-        for e in self.experts:
-            if e.theta is not None and e.theta.n != n:
-                raise InvalidScenario(f"expert {e.id}: theta on {e.theta.n} states, "
-                                      f"the scenario has {n}")
-            if isinstance(e.announce, Forecast) and e.announce.n != n:
-                raise InvalidScenario(f"expert {e.id}: a fixed announcement on "
-                                      f"{e.announce.n} states, the scenario has {n}")
-        if (isinstance(self.contract_config, Prop1Config)
-                and self.contract_config.witnesses[0].n != n):
-            raise InvalidScenario(f"contract.witnesses: expected 2 forecasts on "
-                                  f"the scenario's {n} states")
 
 
 @dataclass
@@ -279,15 +121,6 @@ def _payoffs(at, sq, contracts, accept):
     return pay
 
 
-def build_contracts(config):
-    """Contracts for experts (first, second) from a scenario contract config."""
-    if isinstance(config, Prop1Config):
-        fx, fy = config.witnesses
-        c = make_prop1_contract(fx, fy, config.policy, margin=config.margin)
-        return c, c
-    return make_prop2_contracts(config.eps1, config.eps2, config.gamma)
-
-
 def decide_acceptance(expert, contract):
     """Analyzer decision for one expert: (decision, value, report), where
     report is the exact MaxminReport of a non-informed expert (None for an
@@ -299,18 +132,12 @@ def decide_acceptance(expert, contract):
     return report.decision, report.value, report
 
 
-def _expected_roles(experts):
-    """Which expert should accept under correct screening."""
-    kinds = [e.kind for e in experts]
-    roles = {}
-    if all(k == PARTIAL for k in kinds):
+def _expected_decisions(experts):
+    """Each expert's decision under correct screening, in expert order."""
+    if all(e.kind == PARTIAL for e in experts):
         radii = [e.theta.radius for e in experts]
-        for e, r in zip(experts, radii):
-            roles[e.id] = ACCEPT if r == min(radii) and radii[0] != radii[1] else REJECT
-        return roles
-    for e in experts:
-        roles[e.id] = ACCEPT if e.kind == INFORMED else REJECT
-    return roles
+        return [ACCEPT if r == min(radii) and radii[0] != radii[1] else REJECT for r in radii]
+    return [ACCEPT if e.kind == INFORMED else REJECT for e in experts]
 
 
 def block_payoffs(sc, contracts, decisions):
@@ -405,7 +232,7 @@ def run_tournament(sc):
     Each uninformed expert's Chebyshev problem is solved once, in
     decide_acceptance, and a `chebyshev` announcement is that solve's center.
     """
-    contracts = build_contracts(sc.contract_config)
+    contracts = sc.contract_config.contracts
     decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
 
     moments = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
@@ -414,10 +241,7 @@ def run_tournament(sc):
     stderr = [math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
               for count, _, m2 in moments]
 
-    roles = _expected_roles(sc.experts)
-    screening_correct = all(
-        decisions[i][0] == roles[sc.experts[i].id] for i in range(2)
-    )
+    screening_correct = [d[0] for d in decisions] == _expected_decisions(sc.experts)
 
     results = [
         ExpertResult(

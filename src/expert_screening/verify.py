@@ -44,7 +44,8 @@ from .simplex import (
     l2_dist_sq,
     sample_simplex_uniform,
 )
-from .simulation import ExpertSpec, Prop1Config, Scenario, run_tournament
+from .scenario import ExpertSpec, Prop1Config, Scenario
+from .simulation import run_tournament
 
 
 CHI2_9_999 = 27.877  # 0.999 quantile of the chi-square law with 9 degrees of freedom
@@ -146,7 +147,6 @@ def check_bias_variance_identity(quick):
         m = int(rng.integers(1, 5))
         raw_w = rng.uniform(0.1, 1.0, size=m)
         weights = (raw_w / raw_w.sum()).tolist()
-        weights = [w / sum(weights) for w in weights]
         atoms = [sample_simplex_uniform(space, rng) for _ in weights]
         f = sample_simplex_uniform(space, rng)
         mean = Forecast(sum(w * a.probs for a, w in zip(atoms, weights)))

@@ -1,7 +1,10 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,46 @@ class TestScenarioParsing:
         assert capsys.readouterr().err == (
             "error: expert alice: announce must be 'truth', 'chebyshev', 'sample', "
             "or {'fixed': [...]}\n")
+
+    @pytest.mark.parametrize("field,base,edit", [
+        ("states", TWO_POINT_SAFE, lambda o: o.update(states=["up"])),
+        ("states", TWO_POINT_SAFE, lambda o: o.update(states=[])),
+        ("contract.witnesses", TWO_POINT_SAFE,
+         lambda o: o["contract"].update(witnesses=[[1, 0]])),
+        ("contract.witnesses", TWO_POINT_SAFE,
+         lambda o: o["contract"].update(witnesses=[[1, 0], [0, 1], [1, 0]])),
+        ("contract.witnesses", TWO_POINT_SAFE, lambda o: o["contract"].update(witnesses=None)),
+        ("contract.witnesses", TWO_POINT_SAFE, lambda o: o["contract"].pop("witnesses")),
+        ("contract.eps1", PROP2, lambda o: o["contract"].pop("eps1")),
+        ("contract.eps2", PROP2, lambda o: o["contract"].pop("eps2")),
+        ("contract.gamma", PROP2, lambda o: o["contract"].pop("gamma")),
+    ])
+    def test_checks_left_to_the_types_exit_1(self, field, base, edit, tmp_path, capsys):
+        """A state list shorter than 2, a witness count other than 2 and a
+        missing prop2 number are caught by StateSpace, Prop1Config and
+        Prop2Config: one error line naming the field."""
+        obj = json.loads(json.dumps(base))
+        edit(obj)
+        assert main(["analyze", _write(tmp_path, obj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,base,edit", [
+        ("contract.margin", TWO_POINT_SAFE,
+         lambda o: o["contract"].update(policy={"fixed": 1.7976931348623157e308})),
+        ("contract.margin", TWO_POINT_SAFE,
+         lambda o: o["contract"].update(policy={"fixed": -1e300})),
+        ("contract.gamma", PROP2, lambda o: o["contract"].update(eps1=1, eps2=1e150, gamma=1e299)),
+    ])
+    def test_margin_whose_square_overflows_exits_1(self, field, base, edit, tmp_path, capsys):
+        obj = json.loads(json.dumps(base))
+        edit(obj)
+        assert main(["simulate", _write(tmp_path, obj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: margin must be finite with |margin| <= ")
+        assert captured.err.count("\n") == 1
 
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         # json.load would keep the last value
@@ -542,3 +585,45 @@ def test_bench_tracing_records_sampled_tournament():
     assert "simulation.run_tournament" in names
     assert tracer.stats["plausible.sample_from.n3"][0] == 2
     assert "plausible.sample_from.n3" in names
+
+
+def test_cli_import_leaves_verify_unloaded():
+    """The property suites load only for `expert-screen verify`."""
+    code = "import sys, expert_screening.cli; print('expert_screening.verify' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_each_contract_is_built_once(monkeypatch, tmp_path, capsys):
+    """Loading a scenario builds its contracts once, in its config; the oracle
+    command and a tournament read them from there. Every module of the
+    package that holds a contract builder has it counted."""
+    calls = []
+
+    def counted(name, make):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return make(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_prop1_contract", "make_prop2_contracts"):
+        make = getattr(contracts, name)
+        for module in [m for k, m in sys.modules.items() if k.startswith("expert_screening")]:
+            if getattr(module, name, None) is make:
+                monkeypatch.setattr(module, name, counted(name, make))
+    builder = {"prop1": ["make_prop1_contract"], "prop2": ["make_prop2_contracts"]}
+    for demo in sorted(DEMOS.glob("*.json")):
+        obj = json.loads(demo.read_text())
+        expect = builder[obj["contract"]["kind"]]
+        sc = scenario.load_scenario(demo)
+        assert calls == expect
+        calls.clear()
+        assert main(["oracle", _write(tmp_path, obj), "--grid-k", "10"]) == 0
+        capsys.readouterr()
+        assert calls == expect
+        calls.clear()
+        simulation.run_tournament(dataclasses.replace(sc, trials=10))
+        assert calls == []

@@ -14,6 +14,7 @@ from expert_screening import (
     realized_payoff,
     sample_simplex_uniform,
 )
+from expert_screening.contracts import MAX_MARGIN
 from expert_screening.errors import DegenerateWitnesses, InvalidGamma, InvalidRadii
 from expert_screening.verify import _space
 
@@ -25,7 +26,7 @@ class TestMakeProp1Contract:
     def test_paper_epsilon(self):
         c = make_prop1_contract(FX, FY, PAPER_EPSILON)
         assert c.margin == 1.0
-        assert c.witnesses == (FX, FY)
+        assert c == Contract(1.0, PAPER_EPSILON)
 
     def test_safe_epsilon(self):
         c = make_prop1_contract(FX, FY, SAFE_EPSILON)
@@ -44,6 +45,16 @@ class TestMakeProp1Contract:
             Contract(float("nan"), FIXED_MARGIN)
         with pytest.raises(ValueError):
             Contract(float("inf"), FIXED_MARGIN)
+
+    def test_margin_whose_square_overflows_rejected(self):
+        assert MAX_MARGIN**2 < float("inf")
+        for margin in (MAX_MARGIN, -MAX_MARGIN):
+            assert Contract(margin, FIXED_MARGIN).margin == margin
+        for margin in (np.nextafter(MAX_MARGIN, np.inf), -1e300):
+            with pytest.raises(ValueError, match="margin must be finite with"):
+                Contract(margin, FIXED_MARGIN)
+        with pytest.raises(ValueError, match="margin must be finite with"):
+            make_prop2_contracts(1.0, 1e150, 1e299)
 
 
 class TestMakeProp2Contracts:

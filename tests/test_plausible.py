@@ -14,7 +14,6 @@ from expert_screening import (
     Forecast,
     StateSpace,
     chebyshev,
-    contains,
     diameter_sq,
     farthest_point,
     grid_enumerate,
@@ -101,58 +100,26 @@ class TestConstruction:
 
 class TestContains:
     def test_ball_center(self):
-        assert contains(Ball(Forecast([0.5, 0.5]), 0.1), Forecast([0.5, 0.5]))
+        assert members(Ball(Forecast([0.5, 0.5]), 0.1), Forecast([0.5, 0.5]).probs[None])[0]
 
     def test_ball_far_point(self):
-        assert not contains(Ball(Forecast([0.5, 0.5]), 0.1), Forecast([1, 0]))
+        assert not members(Ball(Forecast([0.5, 0.5]), 0.1), Forecast([1, 0]).probs[None])[0]
 
     def test_finite_nonmember(self):
-        assert not contains(VERTICES, Forecast([0.5, 0.5]))
+        assert not members(VERTICES, Forecast([0.5, 0.5]).probs[None])[0]
 
     def test_finite_member(self):
-        assert contains(VERTICES, Forecast([1, 0]))
+        assert members(VERTICES, Forecast([1, 0]).probs[None])[0]
 
     def test_boundary_tolerance(self):
         ball = Ball(Forecast([0.5, 0.5]), 0.1)
         boundary = Forecast([0.5 + 0.1 / math.sqrt(2), 0.5 - 0.1 / math.sqrt(2)])
-        assert contains(ball, boundary)
+        assert members(ball, boundary.probs[None])[0]
 
     def test_length_mismatch(self):
         for theta in (VERTICES, Ball(Forecast([0.5, 0.5]), 0.1)):
             with pytest.raises(LengthMismatch):
-                contains(theta, Forecast([1, 0, 0]))
-            with pytest.raises(LengthMismatch):
                 farthest_point(theta, Forecast([1, 0, 0]).probs)
-
-    @staticmethod
-    def _near(rng, points, dist, spread):
-        """One row per point at distance dist + U(-spread, spread) from it,
-        along a random direction in the sum-zero plane."""
-        d = rng.standard_normal(points.shape)
-        d -= d.mean(axis=1, keepdims=True)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        t = dist + rng.uniform(-spread, spread, len(points))
-        return points + t[:, None] * d
-
-    def test_matches_members_on_ball_spheres(self):
-        rng = np.random.default_rng(40)
-        for n in range(2, 7):
-            c = np.full(n, 1.0 / n)
-            ball = Ball(Forecast(c), 0.5 / n)
-            rows = self._near(rng, np.tile(c, (500, 1)), ball.radius, 2e-9)
-            mask = members(ball, rows)
-            assert 0 < mask.sum() < len(rows)
-            assert [contains(ball, Forecast.from_row(r)) for r in rows] == mask.tolist()
-
-    def test_matches_members_near_finite_points(self):
-        rng = np.random.default_rng(41)
-        for n in range(2, 7):
-            theta = _random_finite_set(rng, n, max_points=4)
-            points = theta.points
-            rows = self._near(rng, points[rng.integers(len(points), size=500)], 1e-9, 1e-9)
-            mask = members(theta, rows)
-            assert 0 < mask.sum() < len(rows)
-            assert [contains(theta, Forecast.from_row(r)) for r in rows] == mask.tolist()
 
 
 class TestDiameterSq:
@@ -288,7 +255,7 @@ class TestClippedBall:
             queries = [sample_simplex_uniform(_space(n), rng) for _ in range(3)]
             for x in queries + [ball.center, chebyshev(ball).center]:
                 far, d2 = farthest_point(ball, x.probs)
-                assert contains(ball, Forecast(far))
+                assert members(ball, Forecast(far).probs[None])[0]
                 own = float(np.sum((far - x.probs) ** 2))
                 assert d2 == pytest.approx(own, abs=1e-15)
                 if len(grid):
@@ -322,7 +289,7 @@ class TestClippedBall:
             ball = Ball(Forecast(0.125 + 0.5 * rng.dirichlet(np.ones(4))), 0.01)
             x = Forecast(ball.center.probs + 1e-15 * rng.standard_normal(4))
             far, d2 = farthest_point(ball, x.probs)
-            assert contains(ball, Forecast(far))
+            assert members(ball, Forecast(far).probs[None])[0]
             gap = math.sqrt(float(np.sum((ball.center.probs - x.probs) ** 2)))
             assert d2 == pytest.approx((gap + ball.radius) ** 2, abs=1e-12)
 
@@ -502,14 +469,14 @@ class TestSampleFrom:
         theta = Ball(Forecast([0.5, 0.3, 0.2]), 0.08)
         rng = np.random.default_rng(27)
         for _ in range(200):
-            assert contains(theta, sample_from(theta, rng))
+            assert members(theta, sample_from(theta, rng).probs[None])[0]
 
     def test_tiny_ball_fallback_members(self):
         # a ball far smaller than the simplex proposes from itself
         theta = Ball(Forecast([0.5, 0.5]), 1e-6)
         rng = np.random.default_rng(28)
         f = sample_from(theta, rng)
-        assert contains(theta, f)
+        assert members(theta, f.probs[None])[0]
 
     @pytest.mark.parametrize(
         "n, r, draws", [(3, 0.1, 500), (8, 0.1, 500), (20, 0.03, 500), (8, 0.05, 64)]
@@ -535,7 +502,7 @@ class TestSampleFrom:
         rng = np.random.default_rng(31)
         draws = 4000
         x = np.array([sample_from(ball, rng).probs for _ in range(draws)])
-        assert all(contains(ball, Forecast(row)) for row in x)
+        assert all(members(ball, Forecast(row).probs[None])[0] for row in x)
         share = float(np.mean(x[:, 0] > 0.7))
         assert abs(share - expect) <= 4.0 * math.sqrt(expect * (1.0 - expect) / draws)
 
@@ -549,7 +516,7 @@ class TestSampleFrom:
         def reference():
             while True:
                 f = sample_simplex_uniform(space, ref_rng)
-                if contains(ball, f):
+                if members(ball, f.probs[None])[0]:
                     return f
 
         for _ in range(200):
@@ -561,7 +528,7 @@ class TestSampleFrom:
         assert ball.is_uncut()
         rng = np.random.default_rng(33)
         for _ in range(20):
-            assert contains(ball, sample_from(ball, rng))
+            assert members(ball, sample_from(ball, rng).probs[None])[0]
 
     def test_small_ball_at_a_vertex_raises(self):
         # B ∩ Δ is about 1/n! of B: no draw within MAX_PROPOSALS

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from expert_screening import (
     sample_state,
 )
 from expert_screening import analyzer, simulation
+from expert_screening.contracts import MAX_MARGIN
 from expert_screening.errors import InvalidScenario, ScreeningError
 from expert_screening.plausible import chebyshev
 from expert_screening.simulation import (
@@ -35,7 +37,6 @@ from expert_screening.simulation import (
     _uniform_states,
     block_payoffs,
     block_rng,
-    build_contracts,
     decide_acceptance,
     inverse_cdf,
 )
@@ -185,6 +186,25 @@ class TestInProcessChecks:
     def test_prop1_config(self, kwargs, field):
         with pytest.raises(InvalidScenario, match=f"^{field}: "):
             Prop1Config(witnesses=(FX, FY), **kwargs)
+
+    @pytest.mark.parametrize("margin", [1.7976931348623157e308, 1e300, -1e300,
+                                        np.nextafter(MAX_MARGIN, math.inf)])
+    def test_prop1_margin_whose_square_overflows(self, margin):
+        with pytest.raises(InvalidScenario, match=r"^contract.margin: margin must be finite with"):
+            Prop1Config(FIXED_MARGIN, (FX, FY), margin)
+
+    def test_prop2_gamma_whose_square_overflows(self):
+        with pytest.raises(InvalidScenario, match=r"^contract.gamma: margin must be finite with"):
+            Prop2Config(1.0, 1e150, 1e299)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_margin_has_finite_moments(self):
+        for margin in (MAX_MARGIN, -MAX_MARGIN):
+            config = Prop1Config(FIXED_MARGIN, (FX, FY), margin)
+            sc = dataclasses.replace(_prop1_scenario(trials=10), contract_config=config)
+            for e in run_tournament(sc).experts:
+                assert e.decision == ("accept" if margin > 0 else "reject")
+                assert math.isfinite(e.mean_payoff) and math.isfinite(e.payoff_stderr)
 
     def test_prop2_config_needs_numbers(self):
         with pytest.raises(InvalidScenario, match="^contract.eps1: expected a number"):
@@ -482,7 +502,7 @@ def _scalar_payoffs(sc):
     state uniforms, then one sample_from block per sampling expert; or, with
     a fixed nature and no sampling expert, one multinomial draw of state
     counts, expanded into per-trial states in state order."""
-    contracts = build_contracts(sc.contract_config)
+    contracts = sc.contract_config.contracts
     accept = [decide_acceptance(e, c)[0] == "accept" for e, c in zip(sc.experts, contracts)]
     centers = [chebyshev(e.theta).center if e.announce == "chebyshev" else None
                for e in sc.experts]
@@ -526,7 +546,7 @@ def _expand(pay, counts):
 
 
 def _block_payoffs(sc):
-    contracts = build_contracts(sc.contract_config)
+    contracts = sc.contract_config.contracts
     decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
     return np.hstack([_expand(*block) for block in block_payoffs(sc, contracts, decisions)])
 
@@ -614,7 +634,7 @@ class TestStateCounts:
     )
 
     def _blocks(self, sc):
-        contracts = build_contracts(sc.contract_config)
+        contracts = sc.contract_config.contracts
         decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
         return list(block_payoffs(sc, contracts, decisions))
 
@@ -635,7 +655,7 @@ class TestStateCounts:
         assert all(pay is table for pay, _ in blocks)
         # bob rejects, so his row is 0; alice's row is her payoff in each state
         assert not table[1].any()
-        contract = build_contracts(self.SC.contract_config)[0]
+        contract = self.SC.contract_config.contracts[0]
         center = chebyshev(TRIANGLE).center
         for s in range(3):
             expect = realized_payoff(contract, self.SC.nature, center, s)
@@ -737,7 +757,7 @@ class TestPayoffKernel:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(sc=_kernel_scenario())
     def test_matches_per_trial_formula_bit_for_bit(self, sc):
-        contracts = build_contracts(sc.contract_config)
+        contracts = sc.contract_config.contracts
         decisions = [decide_acceptance(e, c) for e, c in zip(sc.experts, contracts)]
         new = list(block_payoffs(sc, contracts, decisions))
         ref = list(_reference_block_payoffs(sc, contracts, decisions))
