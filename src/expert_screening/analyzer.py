@@ -12,13 +12,13 @@ from functools import lru_cache
 import numpy as np
 
 from .plausible import (
-    MEMBERSHIP_TOL,
+    NORM_SLACK,
     FiniteSet,
     _ball_grid,
+    _grid_members,
     chebyshev,
     farthest_point,  # unused here; bench/tracing.py rebinds it
     lex_farthest,
-    members,
 )
 from .errors import ResolutionTooLarge
 from .simplex import (
@@ -34,8 +34,6 @@ REJECT = "reject"
 BLOCK_ENTRIES = 2**16   # oracle: most candidate x grid entries in one block of
                         # the column reduction (512 KiB, made per block), and
                         # the largest cached strategy grid
-NORM_SLACK = 1e-12      # oracle: bound on the rounding of a squared distance taken
-                        # from the norms, |g|^2 - 2 g.x + |x|^2 (about 1e-15 here)
 
 
 @dataclass
@@ -93,29 +91,6 @@ def uninformed_maxmin(theta, c):
     )
 
 
-def _grid_members(theta, G, sq_g, d=None):
-    """`members(theta, G)`, bit for bit, from the grid's squared norms sq_g.
-    The squared distance d of each row g to a ball's center, or to the
-    nearest forecast of a finite set, is taken as |g|^2 - 2 g.x + |x|^2,
-    one gemv per center or forecast, unless the caller passes it, and
-    compared with (r + MEMBERSHIP_TOL)^2 or MEMBERSHIP_TOL^2; the rows
-    within NORM_SLACK of that threshold, and only they, are decided again
-    by `members`."""
-    if isinstance(theta, FiniteSet):
-        X, t = theta.points, MEMBERSHIP_TOL**2
-    else:
-        X, t = theta.center.probs[None], (theta.radius + MEMBERSHIP_TOL) ** 2
-    if d is None:
-        d = sq_g - 2.0 * (G @ X[0]) + X[0] @ X[0]
-        for x in X[1:]:
-            np.minimum(d, sq_g - 2.0 * (G @ x) + x @ x, out=d)
-    mask = d < t - NORM_SLACK
-    near = np.flatnonzero(np.abs(d - t) <= NORM_SLACK)
-    if len(near):
-        mask[near] = members(theta, G[near])
-    return mask
-
-
 def _adversary_candidates(theta, G, sq_g, d=None):
     """Truths available to the oracle adversary and their squared norms,
     (A, sq_a): theta's own exact points (witnesses / extremes) plus the rows
@@ -125,7 +100,7 @@ def _adversary_candidates(theta, G, sq_g, d=None):
     are read from sq_g and `_ball_grid`'s: a row's sum along axis 1 has the
     same bits in any array."""
     if isinstance(theta, FiniteSet):
-        own, sq_own = [theta.points], [np.sum(theta.points**2, axis=1)]
+        own, sq_own = [theta.points], [np.add.reduce(theta.points**2, axis=1)]
     else:
         own, sq_own = _ball_grid(theta)
     inside = _grid_members(theta, G, sq_g, d)
@@ -176,14 +151,14 @@ def _column_max_dist_sq(A, sq_a, G, sq_g):
     the report to the full matrix: test_early_exit_equals_full_matrix,
     test_near_ties_equal_full_matrix and TestOneProductPerCall."""
     rows = min(len(A), max(2, BLOCK_ENTRIES // len(G)))
-    out = np.full(len(G), -np.inf)
+    out = np.zeros(len(G)) - np.inf
     for start in range(0, len(A), rows):
         lo = min(start, len(A) - rows)
         d = sq_a[lo : lo + rows, None] + sq_g - 2.0 * (A[lo : lo + rows] @ G.T)
         if rows >= 64 * len(G):
-            col_max = np.array([d[:, j].max() for j in range(len(G))])
+            col_max = np.array([np.maximum.reduce(d[:, j]) for j in range(len(G))])
         else:
-            col_max = d.max(axis=0)
+            col_max = np.maximum.reduce(d, axis=0)
         np.maximum(out, col_max, out=out)
     return np.maximum(out, 0.0, out=out)
 
@@ -222,22 +197,22 @@ def _winning_columns(A, sq_a, G, sq_g):
     n = A.shape[1]
     if len(A) <= 2 * n or len(G) <= 2:
         return None, None
-    m = np.full(len(A), 1.0 / len(A)) @ A
-    V = sq_a.mean() - m @ m
+    m = (np.zeros(len(A)) + 1.0 / len(A)) @ A
+    V = np.add.reduce(sq_a) / len(sq_a) - m @ m
     e = sq_g - 2.0 * (G @ m) + m @ m
-    first = int(np.argmin(e))
+    first = int(e.argmin())
     e_first, e[first] = e[first], np.inf
-    two = np.array(sorted((first, int(np.argmin(e)))))
+    two = np.array(sorted((first, int(e.argmin()))))
     e[first] = e_first
     f_two = _column_max_dist_sq(A, sq_a, G[two], sq_g[two])
-    bound = f_two.min() + NORM_SLACK
+    bound = np.minimum.reduce(f_two) + NORM_SLACK
     keep = e + V <= bound
     keep[two] = True
-    keep = np.flatnonzero(keep)
+    keep = keep.nonzero()[0]
     if len(keep) > 2:
         P = np.concatenate([A.argmin(axis=0), A.argmax(axis=0)])
         ok = _column_max_dist_sq(A[P], sq_a[P], G[keep], sq_g[keep]) <= bound
-        ok[np.searchsorted(keep, two)] = True
+        ok[keep.searchsorted(two)] = True
         keep = keep[ok]
     return keep, (f_two if len(keep) == 2 else None)
 
@@ -278,8 +253,9 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     D = None
     if isinstance(theta, FiniteSet) and len(theta.points) <= max(2, BLOCK_ENTRIES // len(G)):
         X = theta.points
-        D = np.sum(X**2, axis=1)[:, None] + sq_g - 2.0 * (X @ G.T)  # (m, num_grid)
-    A, sq_a = _adversary_candidates(theta, G, sq_g, None if D is None else D.min(axis=0))
+        D = np.add.reduce(X**2, axis=1)[:, None] + sq_g - 2.0 * (X @ G.T)  # (m, num_grid)
+    A, sq_a = _adversary_candidates(
+        theta, G, sq_g, None if D is None else np.minimum.reduce(D, axis=0))
     if D is not None and len(A) > len(D):            # a grid row joined: scan in blocks
         D = None
 
@@ -287,9 +263,9 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     if f is None:
         cols = slice(None) if keep is None else keep
         f = (_column_max_dist_sq(A, sq_a, G[cols], sq_g[cols]) if D is None
-             else np.maximum(D[:, cols].max(axis=0), 0.0))
+             else np.maximum(np.maximum.reduce(D[:, cols], axis=0), 0.0))
     pm_values = c.margin - f                         # per point mass
-    i = int(np.argmax(pm_values))                    # first occurrence: deterministic
+    i = int(pm_values.argmax())                      # first occurrence: deterministic
     best_j = i if keep is None else int(keep[i])
     best_value = float(pm_values[i])
 
@@ -325,9 +301,9 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     # rows within rounding of the norms' minimum are measured again
     w = worst_truth.probs
     e = sq_g - 2.0 * (G @ w) + w @ w if D is None else D[j]
-    near = np.flatnonzero(e <= e.min() + NORM_SLACK)
+    near = (e <= np.minimum.reduce(e) + NORM_SLACK).nonzero()[0]
     diffs = G[near] - w
-    d = diffs[int(np.argmin(np.sum(diffs**2, axis=1)))]
+    d = diffs[int(np.add.reduce(diffs**2, axis=1).argmin())]
     details["reduction_rival_matches_truth_dist_sq"] = float(np.dot(d, d))
 
     return MaxminReport(

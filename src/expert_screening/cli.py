@@ -14,7 +14,6 @@ written all the same); 3 verification failure.
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -83,13 +82,14 @@ def _scalar_text(x):
         return "null" if x is None else "true" if x else "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# exact builtin leaf types; a subclass (np.float64) takes the isinstance branches
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _scalar_text,
+              bool: _scalar_text, type(None): _scalar_text}
 
 
 def _key_text(key):
@@ -103,9 +103,12 @@ def _key_text(key):
 def _write_value(obj, newline, out):
     """Append obj's JSON text to out; newline is the line break plus the
     indent of the line obj starts on."""
-    if isinstance(obj, str):
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
-    elif obj is None or isinstance(obj, (int, float)):
+    elif isinstance(obj, (int, float)):
         out.append(_scalar_text(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:

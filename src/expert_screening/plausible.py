@@ -30,6 +30,8 @@ from .simplex import (
 )
 
 MEMBERSHIP_TOL = 1e-9   # boundary tolerance for closed-set membership
+NORM_SLACK = 1e-12      # bound on the rounding of a squared distance taken from
+                        # the norms, |g|^2 - 2 g.x + |x|^2 (about 1e-15 here)
 DISTINCT_TOL = 1e-9     # minimum pairwise L2 distance in a finite set
 DISTINCT_BLOCK_ENTRIES = 2**16  # distinctness check: row pair x state entries per block
 GAP_TOL = 1e-12         # certified: upper - lower bound on radius^2 within this
@@ -45,7 +47,9 @@ MAX_PROPOSALS = 10**4   # ball sampler: proposals before ResolutionTooLarge
 class FiniteSet:
     """Finite set of pairwise-distinct forecasts. `forecasts` is the public
     tuple; `points` holds their probs bit for bit as the rows of one
-    read-only (m, n) array, and every numeric consumer reads that."""
+    read-only (m, n) array, and every numeric consumer reads that. Forecasts
+    closer than DISTINCT_TOL raise ValueError naming the first i, then the
+    first j > i, from the close entries' row-major indices, block by block."""
 
     forecasts: tuple
     points: np.ndarray = field(init=False, repr=False, compare=False)
@@ -62,11 +66,12 @@ class FiniteSet:
         m = len(pts)
         step = max(1, DISTINCT_BLOCK_ENTRIES // (m * n))
         for lo in range(0, m, step):
-            # pairs (i, j > i) for rows i of this block, first i then first j
+            # entry (a, b) pairs rows lo + a and lo + 1 + b, a pair when b >= a
             d = dist_sq_rows(pts[lo:lo + step, None], pts[lo + 1:])
-            close = np.argwhere(np.triu(d <= DISTINCT_TOL**2))
-            if len(close):
-                i, j = lo + close[0, 0], lo + 1 + close[0, 1]
+            a, b = (d <= DISTINCT_TOL**2).nonzero()  # row-major: first a, then first b
+            pair = (b >= a).nonzero()[0]
+            if len(pair):
+                i, j = lo + a[pair[0]], lo + 1 + b[pair[0]]
                 raise ValueError(f"forecasts {i} and {j} are not distinct")
         object.__setattr__(self, "forecasts", fs)
         object.__setattr__(self, "points", pts)
@@ -113,6 +118,29 @@ def members(theta, points):
     return np.sqrt(dist_sq_rows(points, theta.center.probs)) <= theta.radius + tol
 
 
+def _grid_members(theta, G, sq_g, d=None):
+    """`members(theta, G)`, bit for bit, from G's squared row norms sq_g
+    (the oracle's grid and the ball grid cache theirs). The squared distance
+    d of each row g to a ball's center, or to the nearest forecast of a
+    finite set, is taken as |g|^2 - 2 g.x + |x|^2, one gemv per center or
+    forecast, unless the caller passes it, and compared with (r +
+    MEMBERSHIP_TOL)^2 or MEMBERSHIP_TOL^2; the rows within NORM_SLACK of
+    that threshold, and only they, are decided again by `members`."""
+    if isinstance(theta, FiniteSet):
+        X, t = theta.points, MEMBERSHIP_TOL**2
+    else:
+        X, t = theta.center.probs[None], (theta.radius + MEMBERSHIP_TOL) ** 2
+    if d is None:
+        d = sq_g - 2.0 * (G @ X[0]) + X[0] @ X[0]
+        for x in X[1:]:
+            np.minimum(d, sq_g - 2.0 * (G @ x) + x @ x, out=d)
+    mask = d < t - NORM_SLACK
+    near = (np.abs(d - t) <= NORM_SLACK).nonzero()[0]
+    if len(near):
+        mask[near] = members(theta, G[near])
+    return mask
+
+
 @lru_cache(maxsize=16)
 def _ball_simplex(n):
     """The finest simplex grid on n states with at most BALL_GRID_POINTS
@@ -130,15 +158,15 @@ def _ball_simplex(n):
 
 def _ball_grid(ball):
     """Points of a ball as three blocks of rows, and each block's squared
-    norms: the points of the cached grid of `_ball_simplex` that fall
-    inside it, surface points along the coordinate-pair directions
-    (e_i - e_j) / sqrt(2) that stay on the simplex, and the center. The
-    oracle's adversary draws its truths from these."""
+    norms: the cached `_ball_simplex` grid's rows inside it (`_grid_members`
+    on the cached norms), surface points along the coordinate-pair
+    directions (e_i - e_j) / sqrt(2) that stay on the simplex, and the
+    center. The oracle's adversary draws its truths from these."""
     grid, sq, pairs = _ball_simplex(ball.n)
     p = ball.center.probs + ball.radius * pairs / math.sqrt(2.0)
-    inside = members(ball, grid)
-    rest = [renormalized(p[p.min(axis=1) >= -1e-12]), ball.center.probs[None]]
-    return [grid[inside], *rest], [sq[inside], *(np.sum(r**2, axis=1) for r in rest)]
+    inside = _grid_members(ball, grid, sq)
+    rest = [renormalized(p[np.minimum.reduce(p, axis=1) >= -1e-12]), ball.center.probs[None]]
+    return [grid[inside], *rest], [sq[inside], *(np.add.reduce(r**2, axis=1) for r in rest)]
 
 
 @lru_cache(maxsize=16)
@@ -176,11 +204,10 @@ def lex_farthest(rows, d):
     """Index of the farthest of `rows`, whose squared distances are d, under
     the tie rule of farthest_point and the oracle's worst truth: the
     lexicographically smallest row within 1e-12 of the largest distance."""
-    i = int(np.argmax(d))
-    near = d >= d[i] - 1e-12
-    if np.count_nonzero(near) == 1:
+    i = int(d.argmax())
+    ties = (d >= d[i] - 1e-12).nonzero()[0]
+    if len(ties) == 1:
         return i
-    ties = np.flatnonzero(near)
     return int(ties[np.lexsort(rows[ties].T[::-1])[0]])
 
 
@@ -259,17 +286,17 @@ def _grow_support(support, p, c):
     >= -1e-12. T keeps the rows' order, p last, so a support has the same
     bits whichever search finds it.
     """
-    Q = np.vstack([support, p])
+    Q = np.concatenate([support, p[None]])
     rows = [len(support)]
     for _ in range(MAX_PIVOTS):
         sub = Q[rows]
         if len(rows) == 1:
-            weights, cc = np.ones(1), sub[0]
+            weights, cc = np.array([1.0]), sub[0]
         else:
             A = sub[1:] - sub[0]
             G = A @ A.T
             alpha = np.linalg.solve(G, 0.5 * G.diagonal())
-            weights = np.concatenate([[1.0 - alpha.sum()], alpha])
+            weights = np.concatenate([[1.0 - np.add.reduce(alpha)], alpha])
             cc = weights @ sub
         if len(rows) < len(Q):
             # row s meets the sphere at step t = (r^2 - |s - c|^2) / (2 v.(q - s))
@@ -295,8 +322,8 @@ def _grow_support(support, p, c):
             del rows[j]
             continue
         d = dist_sq_rows(Q, c)  # row by row, so d[rows] has dist_sq_rows(sub, c)'s bits
-        r2 = float(d[rows].min())
-        return (sub, c, r2) if d.max() <= r2 + GAP_TOL else None
+        r2 = float(np.minimum.reduce(d[rows]))
+        return (sub, c, r2) if np.maximum.reduce(d) <= r2 + GAP_TOL else None
     return None
 
 

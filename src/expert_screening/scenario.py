@@ -17,7 +17,7 @@ from .contracts import (
     make_prop1_contract,
     make_prop2_contracts,
 )
-from .errors import InvalidScenario, ScreeningError
+from .errors import InvalidRadii, InvalidScenario, ScreeningError
 from .plausible import Ball, FiniteSet
 from .simplex import Forecast, StateSpace, validate_forecast
 
@@ -96,7 +96,7 @@ class ExpertSpec:
 
 @dataclass(frozen=True)
 class Prop1Config:
-    """Checked once, by building `contracts`; a ValueError names the field."""
+    """Checked once, by building `contracts`; an error names the field."""
 
     policy: str
     witnesses: tuple
@@ -114,6 +114,8 @@ class Prop1Config:
             object.__setattr__(self, "margin", _finite_number(self.margin, "contract.margin"))
         try:
             c = make_prop1_contract(*w, self.policy, margin=self.margin)
+        except ScreeningError as exc:  # witnesses that coincide or differ in length
+            raise InvalidScenario(f"contract.witnesses: {exc}") from exc
         except ValueError as exc:
             name = "margin" if self.policy == FIXED_MARGIN else "policy"
             raise InvalidScenario(f"contract.{name}: {exc}") from exc
@@ -138,7 +140,9 @@ class Prop2Config:
             object.__setattr__(self, name, value)
         try:
             contracts = make_prop2_contracts(self.eps1, self.eps2, self.gamma)
-        except ValueError as exc:  # gamma is both contracts' margin
+        except InvalidRadii as exc:
+            raise InvalidScenario(f"contract.eps1: {exc}") from exc
+        except (ValueError, ScreeningError) as exc:  # gamma is both contracts' margin
             raise InvalidScenario(f"contract.gamma: {exc}") from exc
         object.__setattr__(self, "contracts", contracts)
 
@@ -334,11 +338,16 @@ def _unique_keys(pairs):
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_scenario(path):
     """Read and parse a scenario file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        # one decoder for every file; json.loads raises its own error for a BOM
+        obj = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
     except OSError as exc:
         raise InvalidScenario(f"file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit

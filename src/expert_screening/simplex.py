@@ -53,9 +53,9 @@ class Forecast:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("forecast must be a 1-d vector of length >= 2")
-        if (p < -NEG_TOL).any():
+        if np.logical_or.reduce(p < -NEG_TOL):
             raise NegativeEntry(f"negative entry {p.min()} in forecast")
-        s = float(p.sum())
+        s = float(np.add.reduce(p))
         if not abs(s - 1.0) <= SUM_TOL:
             raise NotNormalized(f"forecast sums to {s}, not 1")
         p = renormalized(p)

@@ -177,6 +177,32 @@ class TestScenarioParsing:
         assert captured.err.startswith(f"error: {field}: margin must be finite with |margin| <= ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("base,edit,err", [
+        (TWO_POINT_SAFE, lambda o: o["contract"].update(witnesses=[[1, 0], [1, 0]]),
+         "error: contract.witnesses: witness forecasts coincide\n"),
+        (PROP2, lambda o: o["contract"].update(gamma=0.5),
+         "error: contract.gamma: gamma 0.5 outside open interval "
+         "(0.010000000000000002, 0.0484)\n"),
+        (PROP2, lambda o: o["contract"].update(eps1=0.3),
+         "error: contract.eps1: need 0 < eps1 < eps2, got 0.3, 0.22\n"),
+    ])
+    def test_contract_errors_name_their_field(self, base, edit, err, tmp_path, capsys):
+        """The contract builders' own errors (DegenerateWitnesses,
+        InvalidGamma, InvalidRadii) reach the CLI with the field prefix."""
+        obj = json.loads(json.dumps(base))
+        edit(obj)
+        for command in ("analyze", "simulate"):
+            assert main([command, _write(tmp_path, obj)]) == 1
+            assert capsys.readouterr() == ("", err)
+
+    def test_bom_prefixed_file_exits_1(self, tmp_path, capsys):
+        # the error json.loads gives, not the reused decoder's "Expecting value"
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(TWO_POINT_SAFE).encode())
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: file: invalid JSON (Unexpected UTF-8 BOM "
+                                       "(decode using utf-8-sig): line 1 column 1 (char 0))\n")
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         # json.load would keep the last value
         text = json.dumps(TWO_POINT_SAFE).replace('"trials": 500', '"trials": 500, "trials": 3')
@@ -480,10 +506,29 @@ def test_parser_is_built_once_and_shared(monkeypatch, capsys):
     assert "best_mixture_value" not in without
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# subclasses miss the writer's exact-type table and take its isinstance path
 _REPORT_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
+    st.integers().map(_Int),
+    st.text().map(_Str),
     st.integers(min_value=-(10**60), max_value=10**60),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 0.1]),
@@ -496,7 +541,9 @@ _REPORTS = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
         st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.text(max_size=6).map(_Str), inner, max_size=4).map(_Dict),
     ),
     max_leaves=20,
 )

@@ -38,6 +38,12 @@ for _name in ("prop1_safe", "prop2_balls"):
     _path = str(DEMOS / f"{_name}.json")
     RUNS[f"simulate-{_name}-blocks"] = ["simulate", _path, "--trials", "9000"]
 RUNS["simulate-uniform_n6"] = ["simulate", UNIFORM, "--trials", "9000"]
+# sampled announcements over three blocks: an uncut n=3 ball against a fixed
+# nature, and a clipped ball under a uniform nature, whose rejection sampler
+# takes several rounds per block
+for _name in ("sampled_n3", "clipped_prop2"):
+    RUNS[f"simulate-{_name}-blocks"] = ["simulate", str(GOLDEN / f"{_name}.json"),
+                                        "--trials", "9000"]
 # verify's per-check timings go to stderr; its stdout stays fixed
 RUNS["verify-quick"] = ["verify", "--quick"]
 

@@ -27,6 +27,7 @@ from expert_screening import plausible
 from expert_screening.plausible import (
     BALL_GRID_POINTS,
     DISTINCT_TOL,
+    MEMBERSHIP_TOL,
     _ball_grid,
     _ball_simplex,
     members,
@@ -48,6 +49,19 @@ REFERENCE = _bench_reference()
 SPACE2 = StateSpace(("a", "b"))
 VERTICES = FiniteSet((Forecast([1, 0]), Forecast([0, 1])))
 CHI2_9_999 = 27.877  # 0.999 quantile of the chi-square law with 9 degrees of freedom
+
+
+def _first_close_pair_triu(pts):
+    """FiniteSet's first close pair (i, j > i), or None, read as the upper
+    triangle of each block's distance matrix by np.argwhere."""
+    m, n = pts.shape
+    step = max(1, plausible.DISTINCT_BLOCK_ENTRIES // (m * n))
+    for lo in range(0, m, step):
+        d = dist_sq_rows(pts[lo:lo + step, None], pts[lo + 1:])
+        close = np.argwhere(np.triu(d <= DISTINCT_TOL**2))
+        if len(close):
+            return lo + close[0, 0], lo + 1 + close[0, 1]
+    return None
 
 
 class TestConstruction:
@@ -79,6 +93,31 @@ class TestConstruction:
         forecasts[1499] = Forecast(rows[1499])
         with pytest.raises(ValueError, match=r"^forecasts 701 and 1200 are not distinct$"):
             FiniteSet(tuple(forecasts))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n=st.integers(2, 5), m=st.integers(2, 40), step=st.integers(1, 8),
+           copies=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39), st.booleans()),
+                           min_size=2, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_first_close_pair_matches_the_upper_triangle(self, n, m, step, copies, seed):
+        # several copies and near copies (1e-10 off, inside DISTINCT_TOL) of
+        # other rows, checked in blocks of `step` rows
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(n), size=m)
+        shift = 1e-10 * (np.eye(n)[0] - np.eye(n)[1])
+        for a, b, near in copies:
+            if a % m != b % m:
+                rows[b % m] = rows[a % m] + (shift if near else 0.0)
+        forecasts = tuple(map(Forecast.from_row, rows))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plausible, "DISTINCT_BLOCK_ENTRIES", step * m * n)
+            pair = _first_close_pair_triu(rows)
+            if pair is None:
+                FiniteSet(forecasts)
+            else:
+                with pytest.raises(ValueError, match=rf"^forecasts {pair[0]} and {pair[1]} "
+                                                     "are not distinct$"):
+                    FiniteSet(forecasts)
 
     def test_ball_rejects_nonpositive_radius(self):
         for radius in (0.0, math.nan, math.inf):
@@ -441,6 +480,31 @@ class TestBallGrid:
         for a in (grid, sq, pairs):
             with pytest.raises(ValueError):
                 a[0] = 0.5
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n=st.integers(2, 8), on_grid=st.booleans(), at_row=st.booleans(),
+           ulps=st.integers(-1, 1), seed=st.integers(0, 2**32 - 1))
+    def test_norm_membership_equals_members(self, n, on_grid, at_row, ulps, seed):
+        # a random center, or a grid row (many rows then tie in distance),
+        # and a random radius, or one that puts r + MEMBERSHIP_TOL at a grid
+        # row's distance as `members` measures it, moved by -1, 0 or 1 ulp
+        grid, sq, _ = _ball_simplex(n)
+        rng = np.random.default_rng(seed)
+        c = grid[rng.integers(len(grid))] if on_grid else rng.dirichlet(np.ones(n))
+        r = float(rng.uniform(0.01, 0.8))
+        if at_row:
+            d = float(np.sqrt(dist_sq_rows(grid[rng.integers(len(grid))][None], c))[0])
+            r = d - MEMBERSHIP_TOL
+            if ulps:
+                r = float(np.nextafter(r, math.inf * ulps))
+        if r <= 0.0:
+            return
+        ball = Ball(Forecast.from_row(c), r)
+        expected = members(ball, grid)
+        assert np.array_equal(plausible._grid_members(ball, grid, sq), expected)
+        points, norms = _ball_grid(ball)
+        assert points[0].tobytes() == grid[expected].tobytes()
+        assert norms[0].tobytes() == sq[expected].tobytes()
 
     def test_one_build_per_n(self, monkeypatch):
         calls = []

@@ -206,6 +206,22 @@ class TestInProcessChecks:
                 assert e.decision == ("accept" if margin > 0 else "reject")
                 assert math.isfinite(e.mean_payoff) and math.isfinite(e.payoff_stderr)
 
+    @pytest.mark.parametrize("witnesses,err", [
+        ((FX, FX), "witness forecasts coincide"),
+        ((FX, Forecast([0, 0, 1])), "forecast lengths differ: 2 vs 3"),
+    ])
+    def test_prop1_witness_errors_name_the_field(self, witnesses, err):
+        with pytest.raises(InvalidScenario, match=rf"^contract\.witnesses: {err}$"):
+            Prop1Config(SAFE_EPSILON, witnesses)
+
+    @pytest.mark.parametrize("args,err", [
+        ((0.1, 0.22, 0.5), r"contract\.gamma: gamma 0\.5 outside open interval"),
+        ((0.3, 0.22, 0.02), r"contract\.eps1: need 0 < eps1 < eps2, got 0\.3, 0\.22"),
+    ])
+    def test_prop2_contract_errors_name_the_field(self, args, err):
+        with pytest.raises(InvalidScenario, match=f"^{err}"):
+            Prop2Config(*args)
+
     def test_prop2_config_needs_numbers(self):
         with pytest.raises(InvalidScenario, match="^contract.eps1: expected a number"):
             Prop2Config("a", 0.1, 0.02)
