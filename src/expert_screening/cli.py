@@ -14,6 +14,7 @@ written all the same); 3 verification failure.
 import argparse
 import dataclasses
 import functools
+import json
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -68,72 +69,52 @@ def _analyze_experts(sc, contracts):
 def _json(report):
     """`json.dumps(report, sort_keys=True, indent=2) + "\n"`, the same
     string. With an indent, json leaves its C encoder for a pure-Python
-    one. This writer takes json's branches (a bool before an int, since
-    bool is an int) and raises TypeError wherever json.dumps does."""
+    one, so this writer writes a report's own types itself and leaves
+    every other value to json.dumps, errors included."""
     out = []
     _write_value(report, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _scalar_text(x):
-    """JSON text of None, a bool, an int or a float, as json writes it."""
-    if x is None or isinstance(x, bool):
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
+def _float_text(x):
     text = float.__repr__(x)
     return _NONFINITE.get(text, text)
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# exact builtin leaf types; a subclass (np.float64) takes the isinstance branches
-_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _scalar_text,
-              bool: _scalar_text, type(None): _scalar_text}
-
-
-def _key_text(key):
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+# JSON text of the exact builtin leaf types, as json writes them
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+              bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
 def _write_value(obj, newline, out):
     """Append obj's JSON text to out; newline is the line break plus the
-    indent of the line obj starts on."""
+    indent of the line obj starts on. Exact leaves, lists and dicts whose
+    first key is a str are written here, and sorting a dict raises json's
+    own TypeError on mixed keys. Anything else (np.float64, a tuple, an int
+    key) is json.dumps's text, indented to start on this line."""
     leaf = _LEAF_TEXT.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (int, float)):
-        out.append(_scalar_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif type(obj) is list:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
             out.append(sep)
             sep = "," + inner
             _write_value(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+        out.append(newline + "]" if obj else "[]")
+    elif type(obj) is dict and (not obj or type(next(iter(obj))) is str):
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             sep = "," + inner
             _write_value(value, inner, out)
-        out.append(newline + "}")
+        out.append(newline + "}" if obj else "{}")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _emit(out, warnings):

@@ -33,7 +33,6 @@ MEMBERSHIP_TOL = 1e-9   # boundary tolerance for closed-set membership
 NORM_SLACK = 1e-12      # bound on the rounding of a squared distance taken from
                         # the norms, |g|^2 - 2 g.x + |x|^2 (about 1e-15 here)
 DISTINCT_TOL = 1e-9     # minimum pairwise L2 distance in a finite set
-DISTINCT_BLOCK_ENTRIES = 2**16  # distinctness check: row pair x state entries per block
 GAP_TOL = 1e-12         # certified: upper - lower bound on radius^2 within this
 MAX_ROUNDS = 100        # core-set rounds before chebyshev gives up uncertified
 MAX_PIVOTS = 1000       # pivot-walk steps before _grow_support gives up
@@ -49,7 +48,8 @@ class FiniteSet:
     tuple; `points` holds their probs bit for bit as the rows of one
     read-only (m, n) array, and every numeric consumer reads that. Forecasts
     closer than DISTINCT_TOL raise ValueError naming the first i, then the
-    first j > i, from the close entries' row-major indices, block by block."""
+    first j > i: row i is measured against the rows after it, one row at a
+    time as in `members`, so memory stays linear in m."""
 
     forecasts: tuple
     points: np.ndarray = field(init=False, repr=False, compare=False)
@@ -63,16 +63,10 @@ class FiniteSet:
             raise LengthMismatch("forecasts live on different state spaces")
         pts = np.array([f.probs for f in fs])
         pts.flags.writeable = False
-        m = len(pts)
-        step = max(1, DISTINCT_BLOCK_ENTRIES // (m * n))
-        for lo in range(0, m, step):
-            # entry (a, b) pairs rows lo + a and lo + 1 + b, a pair when b >= a
-            d = dist_sq_rows(pts[lo:lo + step, None], pts[lo + 1:])
-            a, b = (d <= DISTINCT_TOL**2).nonzero()  # row-major: first a, then first b
-            pair = (b >= a).nonzero()[0]
-            if len(pair):
-                i, j = lo + a[pair[0]], lo + 1 + b[pair[0]]
-                raise ValueError(f"forecasts {i} and {j} are not distinct")
+        for i in range(len(pts) - 1):
+            close = (dist_sq_rows(pts[i + 1:], pts[i]) <= DISTINCT_TOL**2).nonzero()[0]
+            if len(close):
+                raise ValueError(f"forecasts {i} and {i + 1 + close[0]} are not distinct")
         object.__setattr__(self, "forecasts", fs)
         object.__setattr__(self, "points", pts)
 

@@ -140,8 +140,9 @@ class Prop2Config:
             object.__setattr__(self, name, value)
         try:
             contracts = make_prop2_contracts(self.eps1, self.eps2, self.gamma)
-        except InvalidRadii as exc:
-            raise InvalidScenario(f"contract.eps1: {exc}") from exc
+        except InvalidRadii as exc:  # eps2's square overflows once the order holds
+            name = "eps2" if 0 < self.eps1 < self.eps2 else "eps1"
+            raise InvalidScenario(f"contract.{name}: {exc}") from exc
         except (ValueError, ScreeningError) as exc:  # gamma is both contracts' margin
             raise InvalidScenario(f"contract.gamma: {exc}") from exc
         object.__setattr__(self, "contracts", contracts)
@@ -201,14 +202,20 @@ def _require_keys(obj, allowed, where):
             raise InvalidScenario(f"{where}: unknown key '{k}'")
 
 
+def _build(make, where, *args):
+    """make(*args); a ValueError or ScreeningError it raises becomes
+    InvalidScenario naming `where`."""
+    try:
+        return make(*args)
+    except (ValueError, ScreeningError) as exc:
+        raise InvalidScenario(f"{where}: {exc}") from exc
+
+
 def _forecast(raw, space, where):
     if not isinstance(raw, list):
         raise InvalidScenario(f"{where}: expected an array of numbers")
     vec = [_finite_number(v, where) for v in raw]
-    try:
-        return validate_forecast(vec, space)
-    except (ValueError, ScreeningError) as exc:
-        raise InvalidScenario(f"{where}: {exc}") from exc
+    return _build(validate_forecast, where, vec, space)
 
 
 def _parse_theta(obj, space, where):
@@ -219,17 +226,11 @@ def _parse_theta(obj, space, where):
         if not isinstance(raw, list) or not raw:
             raise InvalidScenario(f"{where}.forecasts: expected a non-empty array")
         fs = tuple(_forecast(r, space, f"{where}.forecasts[{i}]") for i, r in enumerate(raw))
-        try:
-            return FiniteSet(fs)
-        except (ValueError, ScreeningError) as exc:
-            raise InvalidScenario(f"{where}: {exc}") from exc
+        return _build(FiniteSet, where, fs)
     if kind == "ball":
         center = _forecast(obj.get("center"), space, f"{where}.center")
         radius = _finite_number(obj.get("radius"), f"{where}.radius")
-        try:
-            return Ball(center, radius)
-        except (ValueError, ScreeningError) as exc:
-            raise InvalidScenario(f"{where}.radius: {exc}") from exc
+        return _build(Ball, f"{where}.radius", center, radius)
     raise InvalidScenario(f"{where}.kind: must be 'finite' or 'ball'")
 
 
@@ -294,10 +295,7 @@ def parse_scenario(obj):
         or not all(isinstance(s, str) for s in states_raw)
     ):
         raise InvalidScenario("states: expected an array of >= 2 state names")
-    try:
-        space = StateSpace(tuple(states_raw))
-    except (ValueError, ScreeningError) as exc:
-        raise InvalidScenario(f"states: {exc}") from exc
+    space = _build(StateSpace, "states", tuple(states_raw))
 
     nature_raw = obj["nature"]
     _require_keys(nature_raw, {"kind", "forecast"}, "nature")
@@ -338,19 +336,18 @@ def _unique_keys(pairs):
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
-
-
 def load_scenario(path):
-    """Read and parse a scenario file."""
+    """Read and parse a scenario file: one json.loads call, which rejects
+    a UTF-8 BOM and duplicate keys. Input nested too deeply to decode is
+    invalid JSON too, an error rather than a traceback."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        # one decoder for every file; json.loads raises its own error for a BOM
-        obj = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InvalidScenario(f"file: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+    # JSONDecodeError, UnicodeDecodeError, int digit limit, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InvalidScenario(f"file: invalid JSON ({exc})") from exc
     return parse_scenario(obj)
 

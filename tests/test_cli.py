@@ -185,6 +185,8 @@ class TestScenarioParsing:
          "(0.010000000000000002, 0.0484)\n"),
         (PROP2, lambda o: o["contract"].update(eps1=0.3),
          "error: contract.eps1: need 0 < eps1 < eps2, got 0.3, 0.22\n"),
+        (PROP2, lambda o: o["contract"].update(eps2=1e200),
+         "error: contract.eps2: eps2 = 1e+200 has no finite square\n"),
     ])
     def test_contract_errors_name_their_field(self, base, edit, err, tmp_path, capsys):
         """The contract builders' own errors (DegenerateWitnesses,
@@ -196,12 +198,23 @@ class TestScenarioParsing:
             assert capsys.readouterr() == ("", err)
 
     def test_bom_prefixed_file_exits_1(self, tmp_path, capsys):
-        # the error json.loads gives, not the reused decoder's "Expecting value"
+        # json.loads raises its own error for a BOM
         path = tmp_path / "scenario.json"
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(TWO_POINT_SAFE).encode())
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr() == ("", "error: file: invalid JSON (Unexpected UTF-8 BOM "
                                        "(decode using utf-8-sig): line 1 column 1 (char 0))\n")
+
+    def test_deeply_nested_file_exits_1(self, tmp_path, capsys):
+        # the decoder's RecursionError is invalid JSON, not a traceback
+        path = tmp_path / "scenario.json"
+        path.write_text("[" * 100_000)
+        err = ("file: invalid JSON (maximum recursion depth exceeded while decoding "
+               "a JSON array from a unicode string)")
+        with pytest.raises(InvalidScenario, match=rf"^{re.escape(err)}$"):
+            scenario.load_scenario(str(path))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         # json.load would keep the last value
@@ -522,7 +535,8 @@ class _Dict(dict):
     pass
 
 
-# subclasses miss the writer's exact-type table and take its isinstance path
+# subclasses miss the writer's exact-type table and go to json.dumps, as do
+# tuples and int-keyed dicts; below the top level, json's text is re-indented
 _REPORT_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -535,6 +549,9 @@ _REPORT_LEAVES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.text(),
     st.sampled_from(["", "é", "\u2028", "\x00", "\U0001f600", "\\\"", "\ud800"]),
+    st.builds(list),
+    st.builds(dict),
+    st.just(()),
 )
 _REPORTS = st.recursive(
     _REPORT_LEAVES,
@@ -544,6 +561,7 @@ _REPORTS = st.recursive(
         st.lists(inner, max_size=4).map(_List),
         st.dictionaries(st.text(max_size=6), inner, max_size=4),
         st.dictionaries(st.text(max_size=6).map(_Str), inner, max_size=4).map(_Dict),
+        st.dictionaries(st.integers(), inner, max_size=4),
     ),
     max_leaves=20,
 )

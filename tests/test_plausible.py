@@ -51,11 +51,10 @@ VERTICES = FiniteSet((Forecast([1, 0]), Forecast([0, 1])))
 CHI2_9_999 = 27.877  # 0.999 quantile of the chi-square law with 9 degrees of freedom
 
 
-def _first_close_pair_triu(pts):
+def _first_close_pair_triu(pts, step):
     """FiniteSet's first close pair (i, j > i), or None, read as the upper
-    triangle of each block's distance matrix by np.argwhere."""
-    m, n = pts.shape
-    step = max(1, plausible.DISTINCT_BLOCK_ENTRIES // (m * n))
+    triangle of each `step`-row block's distance matrix by np.argwhere."""
+    m = len(pts)
     for lo in range(0, m, step):
         d = dist_sq_rows(pts[lo:lo + step, None], pts[lo + 1:])
         close = np.argwhere(np.triu(d <= DISTINCT_TOL**2))
@@ -101,7 +100,7 @@ class TestConstruction:
            seed=st.integers(0, 2**32 - 1))
     def test_first_close_pair_matches_the_upper_triangle(self, n, m, step, copies, seed):
         # several copies and near copies (1e-10 off, inside DISTINCT_TOL) of
-        # other rows, checked in blocks of `step` rows
+        # other rows; the reference reads them in blocks of `step` rows
         rng = np.random.default_rng(seed)
         rows = rng.dirichlet(np.ones(n), size=m)
         shift = 1e-10 * (np.eye(n)[0] - np.eye(n)[1])
@@ -109,15 +108,13 @@ class TestConstruction:
             if a % m != b % m:
                 rows[b % m] = rows[a % m] + (shift if near else 0.0)
         forecasts = tuple(map(Forecast.from_row, rows))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(plausible, "DISTINCT_BLOCK_ENTRIES", step * m * n)
-            pair = _first_close_pair_triu(rows)
-            if pair is None:
+        pair = _first_close_pair_triu(rows, step)
+        if pair is None:
+            FiniteSet(forecasts)
+        else:
+            with pytest.raises(ValueError, match=rf"^forecasts {pair[0]} and {pair[1]} "
+                                                 "are not distinct$"):
                 FiniteSet(forecasts)
-            else:
-                with pytest.raises(ValueError, match=rf"^forecasts {pair[0]} and {pair[1]} "
-                                                     "are not distinct$"):
-                    FiniteSet(forecasts)
 
     def test_ball_rejects_nonpositive_radius(self):
         for radius in (0.0, math.nan, math.inf):

@@ -217,6 +217,7 @@ class TestInProcessChecks:
     @pytest.mark.parametrize("args,err", [
         ((0.1, 0.22, 0.5), r"contract\.gamma: gamma 0\.5 outside open interval"),
         ((0.3, 0.22, 0.02), r"contract\.eps1: need 0 < eps1 < eps2, got 0\.3, 0\.22"),
+        ((0.1, 1e200, 0.02), r"contract\.eps2: eps2 = 1e\+200 has no finite square$"),
     ])
     def test_prop2_contract_errors_name_the_field(self, args, err):
         with pytest.raises(InvalidScenario, match=f"^{err}"):
