@@ -221,15 +221,15 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     """Brute-force maxmin over grid strategies and adversary truths.
 
     Strategies are point masses on the simplex grid of C(grid_k+n-1, n-1)
-    points, at most GRID_CAP (plus, optionally, two-point mixtures with
-    weights 0.1..0.9). For each strategy the adversary picks the worst truth
-    in theta with the rival forecasting it; the best point mass's worst truth
-    follows lex_farthest, the tie rule of farthest_point. All grid rivals are
-    also scanned to confirm that deviating from the truth never helps the
-    adversary. The point-mass scan reads the candidate x grid distances
-    exactly only in the grid columns that can win (`_winning_columns`: the
-    candidates' mean bound, then a bound from the candidates at each
-    coordinate's extremes), in blocks, so memory is linear in the grid size.
+    points, at most GRID_CAP. For each strategy the adversary picks the
+    worst truth in theta with the rival forecasting it; the best point
+    mass's worst truth follows lex_farthest, the tie rule of farthest_point.
+    All grid rivals are also scanned to confirm that deviating from the
+    truth never helps the adversary. The point-mass scan reads the
+    candidate x grid distances exactly only in the grid columns that can
+    win (`_winning_columns`: the candidates' mean bound, then a bound from
+    the candidates at each coordinate's extremes), in blocks, so memory is
+    linear in the grid size.
     A column subset's product can round 1e-16 apart from the full matrix
     (`_column_max_dist_sq`), so the full scan's bits for the winner and its
     value are not proved but tested; they matched on all 1 480 audit sets
@@ -244,7 +244,10 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
     membership from D's column minima, the scan's one block from D itself
     when no grid row joins the candidates (the same expression, so the same
     bits), and the rival scan's distances from D's row at the worst truth.
-    The mixture scan builds the full matrix behind its own budget cap. The grid
+    With mixture_pairs, details["best_mixture_value"] audits Lemma 1 outside
+    the value: the best mixture w g + (1 - w) j of grid points, w = 0.1..0.9,
+    one pass per g, in M and two (9, num_cand, num_grid) arrays under the
+    budget of 9 num_grid^2 num_cand evaluations. The grid
     G and its squared norms come from `_grid`, which keeps each grid of up
     to BLOCK_ENTRIES entries read-only for the rest of the process, so
     repeated calls at one (n, grid_k) build it once.
@@ -277,19 +280,12 @@ def oracle_maxmin(theta, c, grid_k=50, mixture_pairs=False):
             raise ResolutionTooLarge(
                 f"two-point mixture scan needs {budget} evaluations; lower grid_k"
             )
-        M = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
-        best_mix = -np.inf
-        weights = [w / 10.0 for w in range(1, 10)]
-        for i in range(len(G)):
-            col_i = M[:, i : i + 1]
-            for w in weights:
-                mixed = w * col_i + (1.0 - w) * M   # (num_cand, num_grid)
-                vals = c.margin - mixed.max(axis=0)
-                m = float(vals.max())
-                if m > best_mix:
-                    best_mix = m
-        details["best_mixture_value"] = best_mix
-        best_value = max(best_value, best_mix)
+        M = np.maximum(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0)
+        weights = np.arange(1, 10)[:, None, None] / 10.0   # (9, 1, 1): 0.1..0.9
+        rest = (1.0 - weights) * M                   # (9, num_cand, num_grid)
+        worst = min(np.minimum.reduce(np.maximum.reduce(weights * M[:, g, None] + rest, axis=1),
+                                      axis=None) for g in range(len(G)))  # over g, w and j
+        details["best_mixture_value"] = float(c.margin - worst)
 
     # worst truth for the best point mass
     col = np.maximum(sq_a + sq_g[best_j] - 2.0 * (A @ G[best_j : best_j + 1].T)[:, 0], 0.0)

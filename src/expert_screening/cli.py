@@ -12,8 +12,10 @@ written all the same); 3 verification failure.
 """
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -170,11 +172,12 @@ def cmd_simulate(args):
     result = run_tournament(sc)
     warnings = [_uncertified(e.id) for e in result.experts if not e.analyzer_certified]
     if args.format == "csv":
-        out = "id,decision,analyzer_value,mean_payoff,stderr,trials,seed\n" + "".join(
-            f"{e.id},{e.decision},{e.analyzer_value!r},{e.mean_payoff!r},"
-            f"{e.payoff_stderr!r},{result.trial_count},{result.seed}\n"
-            for e in result.experts
-        )
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [("id", "decision", "analyzer_value", "mean_payoff", "stderr", "trials", "seed")]
+            + [(e.id, e.decision, e.analyzer_value, e.mean_payoff, e.payoff_stderr,
+                result.trial_count, result.seed) for e in result.experts])
+        out = text.getvalue()
     else:
         out = _json({"scenario": echo_scenario(sc), **result.to_dict()})
     _emit(out, warnings)

@@ -190,7 +190,7 @@ def _tie_direction(n):
 def _unit(g, fallback):
     """Rows of g at unit length; a row shorter than 1e-15 (x at the sphere's
     center, where every sphere point ties) takes the fallback direction."""
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    norm = np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))
     return np.where(norm < 1e-15, fallback, g / np.maximum(norm, 1e-300))
 
 

@@ -94,8 +94,8 @@ class Forecast:
 
 def renormalized(p):
     """Rows of p clipped at 0 and divided by their sums, unchecked: Forecast's rule."""
-    p = np.clip(p, 0.0, None)
-    return np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+    p = np.maximum(p, 0.0)
+    return np.divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
 
 
 def _check_same_space(f, g):

@@ -191,6 +191,62 @@ class TestOracleMaxmin:
             oracle_maxmin(theta, c, grid_k=10**4)
 
 
+def _double_loop_mixtures(A, sq_a, G, sq_g, margin):
+    """The mixture scan as a running maximum over (grid point, weight)
+    pairs, one (num_cand, num_grid) array per pair: the reference for
+    oracle_maxmin's one pass per grid point. Returns (best point mass,
+    best mixture), both read from the full clipped matrix."""
+    M = np.clip(sq_a[:, None] + sq_g[None, :] - 2.0 * (A @ G.T), 0.0, None)
+    best_mix = -np.inf
+    weights = [w / 10.0 for w in range(1, 10)]
+    for i in range(len(G)):
+        col_i = M[:, i : i + 1]
+        for w in weights:
+            mixed = w * col_i + (1.0 - w) * M   # (num_cand, num_grid)
+            vals = margin - mixed.max(axis=0)
+            m = float(vals.max())
+            if m > best_mix:
+                best_mix = m
+    return float((margin - M.max(axis=0)).max()), best_mix
+
+
+class TestMixtureAudit:
+    """`mixture_pairs` adds best_mixture_value and changes nothing else."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 4), kind=st.sampled_from(["finite", "uncut", "clipped"]),
+           level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_equals_double_loop(self, n, kind, level, seed):
+        theta = _random_theta(np.random.default_rng(seed), n, kind)
+        k = {2: (5, 20, 60), 3: (4, 8, 12), 4: (3, 5, 7)}[n][level]
+        c = Contract(0.1, FIXED_MARGIN)
+        seen = []
+        candidates = analyzer._adversary_candidates
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analyzer, "_adversary_candidates",
+                       lambda *a: seen.append(candidates(*a)) or seen[-1])
+            try:
+                report = oracle_maxmin(theta, c, grid_k=k, mixture_pairs=True)
+            except ResolutionTooLarge as exc:
+                report = exc
+        G, sq_g = analyzer._grid(n, k)
+        (A, sq_a), = seen
+        budget = 9 * len(G) * len(G) * len(A)
+        if budget > 5 * 10**7:
+            assert str(report) == (f"two-point mixture scan needs {budget} evaluations; "
+                                   "lower grid_k")
+            return
+        plain = oracle_maxmin(theta, c, grid_k=k)
+        pm, mix = _double_loop_mixtures(A, sq_a, G, sq_g, c.margin)
+        assert report.details.pop("best_mixture_value") == mix
+        assert report.details["best_point_mass_value"] == pm == report.value
+        assert report.decision == (ACCEPT if report.value > 0 else REJECT)
+        assert report.details == plain.details and report.value == plain.value
+        assert report.decision == plain.decision
+        assert report.optimal_strategy == plain.optimal_strategy
+        assert report.worst_case_truth == plain.worst_case_truth
+
+
 def _members_candidates(theta, G):
     """The oracle's candidate rows with grid membership from `members`."""
     own = [theta.points] if isinstance(theta, FiniteSet) else _ball_grid(theta)[0]

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import re
@@ -26,6 +28,7 @@ from expert_screening import (
     scenario,
     simplex,
     simulation,
+    verify,
 )
 from expert_screening.cli import main
 from expert_screening.errors import InvalidScenario
@@ -216,6 +219,30 @@ class TestScenarioParsing:
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
 
+    @pytest.mark.parametrize("edit,err", [
+        (lambda o: o.update(nature="fixed"), "nature: expected an object"),
+        (lambda o: o["nature"].update(forecast="0.5"),
+         "nature.forecast: expected an array of numbers"),
+        (lambda o: o["experts"][1]["theta"].update(forecasts=[]),
+         "experts[1].theta.forecasts: expected a non-empty array"),
+        (lambda o: o["experts"][1]["theta"].update(kind="simplex"),
+         "experts[1].theta.kind: must be 'finite' or 'ball'"),
+        (lambda o: o["contract"].update(policy="strict"),
+         "contract.policy: must be 'paper', 'safe', or {'fixed': m}"),
+        (lambda o: o["contract"].update(kind="prop3"),
+         "contract.kind: must be 'prop1' or 'prop2'"),
+        (lambda o: o.pop("seed"), "seed: missing required key"),
+        (lambda o: o.update(states=["up", 2]), "states: expected an array of >= 2 state names"),
+        (lambda o: o["nature"].update(kind="mixed"), "nature.kind: must be 'fixed' or 'uniform'"),
+        (lambda o: o.update(experts={"id": "alice"}), "experts: expected an array of 2 experts"),
+    ])
+    def test_parser_errors_exit_1(self, edit, err, tmp_path, capsys):
+        """One error line per parser check that no other file case reaches."""
+        obj = json.loads(json.dumps(TWO_POINT_SAFE))
+        edit(obj)
+        assert main(["analyze", _write(tmp_path, obj)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         # json.load would keep the last value
         text = json.dumps(TWO_POINT_SAFE).replace('"trials": 500', '"trials": 500, "trials": 3')
@@ -364,6 +391,14 @@ class TestOracle:
             <= bob["oracle"]["best_point_mass_value"] + 3.0 / 20
         )
 
+    def test_mixture_budget_exits_1(self, capsys):
+        # 3 candidates on the 1378 points of k = 51: past 5e7 evaluations
+        argv = ["oracle", str(ROOT / "tests" / "golden" / "asymmetric_n3.json"), "--mixtures"]
+        assert main(argv + ["--grid-k", "51"]) == 1
+        assert capsys.readouterr() == ("", "error: two-point mixture scan needs 51269868 "
+                                           "evaluations; lower grid_k\n")
+        assert main(argv + ["--grid-k", "50"]) == 0
+
     def test_grid_cap_exits_1(self, tmp_path, capsys):
         code = main(["oracle", _write(tmp_path, PROP2), "--grid-k", "100000"])
         assert code == 1
@@ -384,6 +419,30 @@ class TestSimulate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[0] == "id,decision,analyzer_value,mean_payoff,stderr,trials,seed"
+
+    def test_csv_quotes_an_id_that_holds_a_comma_quote_or_newline(self, tmp_path, capsys):
+        obj = json.loads(json.dumps(TWO_POINT_SAFE))
+        obj["experts"][1]["id"] = 'al,ice\n"x"'
+        assert main(["simulate", _write(tmp_path, obj), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert [row[0] for row in rows] == ["id", "alice", 'al,ice\n"x"']
+
+    def test_csv_of_plain_ids_is_unquoted(self, capsys):
+        # each value as the f-string writer printed it: the floats' repr
+        argv = ["simulate", str(DEMOS / "prop2_balls.json"), "--trials", "100"]
+        assert main(argv + ["--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        assert text == ("id,decision,analyzer_value,mean_payoff,stderr,trials,seed\n"
+                        "sharp,accept,0.009999999999999998,0.02600000000000001,"
+                        "0.015048406741397753,100,11\n"
+                        "blurry,reject,-0.028399999999999998,0.0,0.0,100,11\n")
+        main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert text.splitlines()[1:] == [
+            f"{e['id']},{e['decision']},{e['analyzer_value']['value']!r},"
+            f"{e['mean_payoff']['value']!r},{e['payoff_stderr']['value']!r},"
+            f"{report['trial_count']},{report['seed']}" for e in report["experts"]]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = _write(tmp_path, TWO_POINT_SAFE)
@@ -450,6 +509,14 @@ class TestVerify:
         assert [line.split()[1] for line in timings] == [name for name, _ in CHECKS]
         assert all(re.fullmatch(r"time: \S+ +\d+\.\d{3} s", line) for line in timings)
         assert "time:" not in out
+
+
+def test_verify_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CHECKS", [("holds", lambda quick: (True, "fine")),
+                                           ("breaks", lambda quick: (False, "broken"))])
+    assert main(["verify", "--quick"]) == 3
+    assert capsys.readouterr().out == ("holds   PASS  fine\nbreaks  FAIL  broken\n"
+                                       "FAILED: breaks\n")
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ DEMOS = GOLDEN.parent.parent / "demos" / "scenarios"
 CLIPPED = str(GOLDEN / "clipped_ball_n3.json")
 UNIFORM = str(GOLDEN / "uniform_n6.json")
 CONCENTRIC = str(GOLDEN / "concentric_n5.json")
+ASYMMETRIC = str(GOLDEN / "asymmetric_n3.json")
 
 RUNS = {}
 for _name in ("prop1_paper", "prop1_safe", "prop2_balls"):
@@ -32,6 +33,10 @@ RUNS["oracle-clipped_ball_n3"] = ["oracle", CLIPPED, "--grid-k", "20"]
 # two concentric balls at the n = 5 barycenter on the default k = 50 grid of
 # 316 251 points: the oracle's column pruning on a large grid
 RUNS["oracle-concentric_n5"] = ["oracle", CONCENTRIC]
+# the mixture audit on three asymmetric forecasts, where a two-point mixture
+# beats every point mass of the k = 20 grid: the value and the decision stay
+# the best point mass's, and only the audit's two keys come with the flag
+RUNS["oracle-asymmetric_n3-mixtures"] = ["oracle", ASYMMETRIC, "--grid-k", "20", "--mixtures"]
 # 9000 trials span two full blocks and a short third one; the n=6 run draws
 # a uniform nature against a fixed announcement from an uncut ball
 for _name in ("prop1_safe", "prop2_balls"):

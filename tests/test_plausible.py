@@ -22,7 +22,7 @@ from expert_screening import (
     sample_simplex_uniform,
     validate_forecast,
 )
-from expert_screening.errors import LengthMismatch, ResolutionTooLarge
+from expert_screening.errors import EmptySet, LengthMismatch, ResolutionTooLarge
 from expert_screening import plausible
 from expert_screening.plausible import (
     BALL_GRID_POINTS,
@@ -115,6 +115,12 @@ class TestConstruction:
             with pytest.raises(ValueError, match=rf"^forecasts {pair[0]} and {pair[1]} "
                                                  "are not distinct$"):
                 FiniteSet(forecasts)
+
+    def test_finite_set_rejects_empty_and_mixed_lengths(self):
+        with pytest.raises(EmptySet, match="^finite plausible set needs at least one forecast$"):
+            FiniteSet(())
+        with pytest.raises(LengthMismatch, match="^forecasts live on different state spaces$"):
+            FiniteSet((Forecast([0.5, 0.5]), Forecast([0.2, 0.3, 0.5])))
 
     def test_ball_rejects_nonpositive_radius(self):
         for radius in (0.0, math.nan, math.inf):
@@ -400,6 +406,17 @@ def _assert_matches_enumeration(support, p, c):
     assert rows.tobytes() == ref_rows.tobytes()
     assert center.tobytes() == ref_center.tobytes()
     assert r2 == ref_r2
+
+
+def test_unit_has_the_bits_of_linalg_norm():
+    # _unit's norm is what np.linalg.norm(g, axis=-1, keepdims=True) runs for
+    # real rows: the root of the rows' sums of squares
+    rng = np.random.default_rng(54)
+    fallback = np.full(4, 0.5)
+    for g in (rng.standard_normal(4), rng.standard_normal((50, 4)) * 1e-3, np.zeros((2, 4))):
+        norm = np.linalg.norm(g, axis=-1, keepdims=True)
+        want = np.where(norm < 1e-15, fallback, g / np.maximum(norm, 1e-300))
+        assert plausible._unit(g, fallback).tobytes() == want.tobytes()
 
 
 class TestPivotStep:

@@ -75,6 +75,11 @@ class TestValidateForecast:
         with pytest.raises(ValueError):
             f.probs[0] = 0.9
 
+    @pytest.mark.parametrize("raw", [[[0.5, 0.5]], [1.0], 1.0, []])
+    def test_forecast_is_a_vector_of_at_least_two(self, raw):
+        with pytest.raises(ValueError, match=r"^forecast must be a 1-d vector of length >= 2$"):
+            Forecast(raw)
+
 
 @st.composite
 def _near_forecast_rows(draw):
